@@ -362,7 +362,9 @@ main(int argc, char **argv)
                      << ", \"snapshot_hit_rate\": "
                      << formatFixed(wp.snapshots.hitRate(), 4)
                      << ", \"snapshot_resyncs\": "
-                     << wp.snapshots.resyncs << "}"
+                     << wp.snapshots.resyncs
+                     << ", \"snapshot_resync_probes\": "
+                     << wp.snapshots.resync_probes << "}"
                      << (i + 1 < perf.size() ? "," : "") << "\n";
             }
             json << "  ]\n}\n";

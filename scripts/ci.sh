@@ -5,7 +5,11 @@
 # soak that SIGKILLs a serve/worker fleet member mid-campaign)
 # followed by the ThreadSanitizer campaign lane (the concurrent
 # trial-store writer, the multi-threaded campaign/resume paths, and
-# the coordinator/worker service), then a campaign-planner smoke
+# the coordinator/worker service), the UndefinedBehaviorSanitizer
+# trial-path lane (opcode semantics on every engine, the event-driven
+# trial path with its snapshot differential, the injector and the
+# fault models — where a struck register can hold any value), then a
+# campaign-planner smoke
 # (sweep-reuse tally identity against brute force, plus a tiny
 # adaptive early-stopping campaign), a scenario-matrix smoke (every
 # fault-model x detector pair byte-identical across --jobs) and two
@@ -17,7 +21,8 @@
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
 #   tier-1 lane builds into <build-root>/tier1, the TSan lane into
-#   <build-root>/tsan, so neither touches a developer's build/.
+#   <build-root>/tsan and the UBSan lane into <build-root>/ubsan, so
+#   none touches a developer's build/.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -37,6 +42,17 @@ echo "==> [tsan] campaign smoke: concurrent store writer + runner + service"
 (cd "${build_root}/tsan" &&
     ctest --output-on-failure \
         -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_planner|test_fault_models|test_snapshot_differential')
+
+echo "==> [ubsan] configure + build"
+cmake -B "${build_root}/ubsan" -S "${repo_root}" \
+    -DENCORE_SANITIZE=undefined > /dev/null
+cmake --build "${build_root}/ubsan" -j --target test_interp_ops \
+    test_snapshot_differential test_injector test_fault_models > /dev/null
+echo "==> [ubsan] trial path: opcode semantics + snapshot differential + injector + fault models"
+# Recovery is disabled in this build, so any report fails its test.
+(cd "${build_root}/ubsan" &&
+    ctest --output-on-failure \
+        -R 'test_interp_ops|test_snapshot_differential|test_injector|test_fault_models')
 
 echo "==> [planner] sweep-reuse tally identity + adaptive smoke"
 # Hard gate on the planner's central contract: a sidecar-reuse run
@@ -186,4 +202,4 @@ print("interp-smoke: warn-only; see BENCH_interp.json provenance for "
       "the baseline build")
 EOF
 
-echo "==> ci passed (tier1 + tsan campaign lane + planner smoke + scenario matrix + perf smokes)"
+echo "==> ci passed (tier1 + tsan campaign lane + ubsan trial lane + planner smoke + scenario matrix + perf smokes)"

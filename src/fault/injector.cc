@@ -75,23 +75,22 @@ namespace {
 class TrialHooks : public interp::ExecHooks
 {
   public:
-    /// `start_value_index` is the value-instruction count already
-    /// executed before these hooks see their first filterResult — 0
-    /// for a full run, the snapshot's value_count when the trial
-    /// resumes from a prefix snapshot. Pre-injection the hooks are
-    /// pure pass-throughs, so skipping the prefix callbacks changes
-    /// nothing except where the internal counter starts. (Every model
-    /// anchors on a value index, so this holds for all of them: a
-    /// branch/memory strike happens at the first matching site *after*
-    /// the anchor value instruction executes.)
+    /// The hooks are installed to arm at the plan's anchor
+    /// (`Interpreter::setHooks(&hooks, plan.target_value_index)`), so
+    /// the first value they filter is the anchor value instruction and
+    /// their counter starts there, whether the run resumed from a
+    /// snapshot or started at entry. Before the anchor they would be
+    /// pure pass-throughs, so the interpreter runs that prefix
+    /// hook-free. (Every model anchors on a value index, so this holds
+    /// for all of them: a branch/memory strike happens at the first
+    /// matching site *after* the anchor value instruction executes.)
     TrialHooks(interp::Interpreter &interp,
                const models::InjectionPlan &plan,
-               const models::DetectionPlan &detection,
-               std::uint64_t start_value_index)
+               const models::DetectionPlan &detection)
         : interp_(interp),
           plan_(plan),
           detection_(detection),
-          value_count_(start_value_index)
+          value_count_(plan.target_value_index)
     {
     }
 
@@ -99,7 +98,7 @@ class TrialHooks : public interp::ExecHooks
     needsUnfusedDispatch() const override
     {
         // Branch/memory strikes ride on filter points that exist only
-        // in the unfused handlers.
+        // in the unfused handlers; markInjected closes the window.
         return plan_.kind != models::InjectionPlan::Kind::RegFlip;
     }
 
@@ -382,6 +381,9 @@ class TrialHooks : public interp::ExecHooks
     markInjected(std::uint64_t dyn_index)
     {
         injected_ = true;
+        // The strike has fired: the branch/memory filter points are
+        // no-ops from here on, so the run may fuse again.
+        interp_.endStrikeWindow();
         fault_dyn_ = dyn_index;
         fault_token_ = interp_.currentRegionToken();
         fault_region_ = interp_.currentRegionId();
@@ -650,11 +652,10 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
     ENCORE_ASSERT(prepared_, "runTrial before a successful prepare()");
 
     // Seek: the latest golden-run snapshot at-or-before the anchor.
-    // Pre-injection the trial hooks are pure pass-throughs (the
-    // branch/memory strike models fire only *after* the anchor value
-    // instruction executes), so the trial's own prefix is
-    // bit-identical to the golden run's — the restored state is
-    // exactly what re-executing would produce.
+    // The trial hooks arm only at the anchor (the branch/memory strike
+    // models fire only *after* the anchor value instruction executes),
+    // so the trial's own prefix is the golden run's — the restored
+    // state is exactly what re-executing would produce.
     const interp::Snapshot *snap =
         snapshots_
             ? snapshots_->findAtOrBefore(plan.target_value_index)
@@ -675,10 +676,11 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
     // The trial rides entirely on the hook interface (including memory
     // taint via ExecHooks::onMemoryAccess) — the observer list stays
     // empty, keeping per-instruction observer dispatch off the
-    // campaign hot path.
-    TrialHooks hooks(interp, plan, detection,
-                     snap ? snap->exec.value_count : 0);
-    interp.setHooks(&hooks);
+    // campaign hot path. The hooks arm at the anchor: the stretch from
+    // the restored snapshot (or entry) up to it runs fused and
+    // hook-free.
+    TrialHooks hooks(interp, plan, detection);
+    interp.setHooks(&hooks, plan.target_value_index);
     // Trials never read RunResult::globals — output equality is checked
     // in place against the golden snapshot, saving a full copy of
     // global memory per trial.
@@ -723,6 +725,8 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
             result.return_value == golden_.return_value &&
             interp.globalsMatch(golden_.globals);
     }
+    if (result.resync_probes)
+        snapshots_->noteResyncProbes(result.resync_probes);
     if (aux)
         *aux = hooks.replayCost();
     return classifyTrialOutcome(obs);

@@ -81,7 +81,8 @@ class FaultModel {
   // sidecar reuse is refused for them.
   virtual bool anchoredStrike() const { return true; }
   // True when the model needs the interpreter's unfused dispatch path
-  // (per-instruction branch/memory filter hooks have no fused variants).
+  // (per-instruction branch/memory filter hooks have no fused variants)
+  // between its anchor and its strike: the trial's strike window.
   virtual bool needsUnfusedDispatch() const { return false; }
 };
 

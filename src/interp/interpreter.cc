@@ -6,11 +6,11 @@
 
 #include "support/diagnostics.h"
 
-// Dispatch selection. The default is a dense switch over the flat
-// decoded opcode; -DENCORE_COMPUTED_GOTO=ON replaces it with a
-// labels-as-values jump table (GCC/Clang extension), which removes the
-// bounds check and gives each opcode its own indirect-branch site.
-// Both dispatchers execute the exact same case bodies.
+// Dispatch selection. ENCORE_COMPUTED_GOTO (the CMake default on
+// GCC/Clang) dispatches through a labels-as-values jump table, which
+// removes the bounds check and gives each opcode its own
+// indirect-branch site; without it a dense switch over the flat decoded
+// opcode runs. Both dispatchers execute the exact same case bodies.
 #if defined(ENCORE_COMPUTED_GOTO) && !defined(__GNUC__) && \
     !defined(__clang__)
 #error "ENCORE_COMPUTED_GOTO requires GCC or Clang (labels as values)"
@@ -305,6 +305,7 @@ Interpreter::activateFrame(const DecodedFunction &func)
     frame.recovery.region = ir::kInvalidRegion;
     frame.recovery.token = 0;
     frame.recovery.recovery_block = kNoDecodedBlock;
+    frame.recovery.entry_values = 0;
     frame.recovery.log.clear();
     return frame;
 }
@@ -331,8 +332,13 @@ Interpreter::handleDetection(Frame &frame)
     }
     // Redirect control to the recovery block. Its `restore` pseudo-op
     // unwinds the checkpoint buffer and its trailing jump re-enters the
-    // region header.
+    // region through its preheader, re-running `region.enter`.
     ++rollback_count_;
+    // Golden-resync bookkeeping (see armGoldenResync): the replay
+    // re-produces the values counted since the region entry, so the
+    // live count now runs that much further ahead of the golden run.
+    rollback_golden_pos_ = value_count_ - replay_offset_;
+    replay_offset_ += value_count_ - rec.entry_values;
     if (hooks_) {
         hooks_->onDetectionHandled(DetectionResponse::RolledBack,
                                    rec.token);
@@ -378,9 +384,7 @@ Interpreter::run(const std::string &func_name,
     next_token_ = 0;
     if (recorder_)
         snapshot_barrier_ = recorder_->firstBarrier();
-    resync_target_ = nullptr;
-    resync_barrier_ = kNoSnapshotBarrier;
-    trial_stop_ = false;
+    beginRun();
 
     // Set up the initial frame (reusing the pooled slot, if any).
     {
@@ -399,12 +403,43 @@ Interpreter::resumeRun(const Snapshot &snap, const PagePool &pool)
 {
     ENCORE_ASSERT(!snap.exec.frames.empty(),
                   "resumeRun from a snapshot with no frames");
-    resync_target_ = nullptr;
-    resync_barrier_ = kNoSnapshotBarrier;
-    trial_stop_ = false;
+    beginRun();
     memory_.restore(snap.mem, pool);
     restoreExecState(snap.exec);
     return execLoop();
+}
+
+void
+Interpreter::beginRun()
+{
+    hot_hooks_ = nullptr;
+    hooks_unfused_ = false;
+    hook_arm_barrier_ = hooks_ ? hook_arm_at_ : kNoSnapshotBarrier;
+    resync_target_ = nullptr;
+    resync_barrier_ = kNoSnapshotBarrier;
+    resync_probes_ = 0;
+    replay_offset_ = 0;
+    rollback_golden_pos_ = 0;
+    trial_stop_ = false;
+}
+
+void
+Interpreter::onEventBarrier()
+{
+    // Stride barrier of the snapshot recorder (golden run only): the
+    // loop top is a consistent between-instructions boundary, so the
+    // captured state is exactly what a trial restored here would have
+    // reached by re-executing the prefix.
+    if (value_count_ >= snapshot_barrier_)
+        snapshot_barrier_ = recorder_->capture(*this);
+    // Hook arm barrier: the next value-producing instruction is the
+    // first the hooks filter. Everything before ran hook-free.
+    if (value_count_ >= hook_arm_barrier_) {
+        hook_arm_barrier_ = kNoSnapshotBarrier;
+        hot_hooks_ = hooks_;
+        hooks_unfused_ = hooks_->needsUnfusedDispatch();
+    }
+    recomputeFuseLimits();
 }
 
 RunResult
@@ -419,6 +454,7 @@ Interpreter::execLoop()
         result.overhead_instrs = overhead_count_;
         result.value_instrs = value_count_;
         result.rollbacks = rollback_count_;
+        result.resync_probes = resync_probes_;
         if (capture_globals_)
             result.globals = memory_.snapshotGlobals();
         return result;
@@ -431,25 +467,21 @@ Interpreter::execLoop()
             return finish(RunResult::Status::InstructionLimit,
                           "instruction limit exceeded");
 
-        // Stride barrier of the snapshot recorder (golden run only):
-        // the loop top is a consistent between-instructions boundary,
-        // so the captured state is exactly what a trial restored here
-        // would have reached by re-executing the prefix.
-        if (value_count_ >= snapshot_barrier_) {
-            snapshot_barrier_ = recorder_->capture(*this);
-            recomputeFuseLimits();
-        }
+        // Snapshot capture and hook arming share one barrier test.
+        if (value_count_ >= event_barrier_)
+            onEventBarrier();
 
         Frame &frame = frames_[depth_ - 1];
 
         // Golden-resync watch (armed trials only): once the live state
         // exactly equals the anchor snapshot, the rest of the run is
         // the golden suffix by determinism — stop here and let the
-        // caller adopt the golden outcome. The anchor's top-frame
-        // instruction index is hoisted into resync_top_ip_ so the
-        // armed steady state (the whole rolled-back replay) pays two
-        // compares per instruction, not a ladder call: equality is
-        // only possible at the anchor's exact code position.
+        // caller adopt the golden outcome. The barrier sits where a
+        // converged replay reaches the anchor (see armGoldenResync), so
+        // the replay before it pays one never-taken compare. Past it
+        // (a failed probe), the anchor's top-frame instruction index,
+        // hoisted into resync_top_ip_, keeps the ladder to the anchor's
+        // exact code position.
         if (value_count_ >= resync_barrier_ &&
             frame.ip == resync_top_ip_ && tryGoldenResync()) {
             result.golden_resync = true;
@@ -577,7 +609,9 @@ Interpreter::execLoop()
                 ENCORE_WRITE_VALUE(ENCORE_VA >> (ENCORE_VB & 63));
                 ENCORE_NEXT;
             ENCORE_OP(Neg):
-                ENCORE_WRITE_VALUE(fromSigned(-asSigned(ENCORE_VA)));
+                // Unsigned: negating INT64_MIN wraps instead of
+                // overflowing (a fault can leave that value anywhere).
+                ENCORE_WRITE_VALUE(std::uint64_t{0} - ENCORE_VA);
                 ENCORE_NEXT;
             ENCORE_OP(Not):
                 ENCORE_WRITE_VALUE(~ENCORE_VA);
@@ -808,6 +842,7 @@ Interpreter::execLoop()
                     rec.region = inst.region;
                     rec.token = ++next_token_;
                     rec.recovery_block = inst.target0;
+                    rec.entry_values = value_count_;
                 }
                 ++frame.ip;
             }
@@ -1055,7 +1090,7 @@ Interpreter::applyValueOp(ir::Opcode op, std::uint64_t a, std::uint64_t b,
     case ir::Opcode::Shr:
         return a >> (b & 63);
     case ir::Opcode::Neg:
-        return fromSigned(-asSigned(a));
+        return std::uint64_t{0} - a; // wraps at INT64_MIN
     case ir::Opcode::Not:
         return ~a;
     case ir::Opcode::FAdd:
@@ -1107,20 +1142,25 @@ Interpreter::applyValueOp(ir::Opcode op, std::uint64_t a, std::uint64_t b,
 void
 Interpreter::recomputeFuseLimits()
 {
+    // The loop top tests the one-shot events (capture, hook arming)
+    // against their nearer barrier; the resync watch has its own test
+    // because it stays live past its barrier.
+    event_barrier_ = std::min(snapshot_barrier_, hook_arm_barrier_);
+
     // Interior boundaries of a fused sequence (after each non-final
     // component) must stay strictly below every value-count barrier;
     // the worst case is a maximal all-value run, kMaxFuseLen - 1
     // values before the final component. Sequences are bounded by
     // kMaxFuseLen source instructions, bounding the budget overshoot
-    // the same way. An attached observer, a hook that needs unfused
-    // dispatch (branch/memory filter points exist only in the unfused
+    // the same way. An attached observer, an open strike window
+    // (branch/memory filter points exist only in the unfused
     // handlers), or a Decoded-engine cache (which has no fused heads
-    // anyway) pins the limit to 0: every head then permanently
-    // de-fuses and the trace is the one-instruction-per-dispatch one.
+    // anyway) pins the limit to 0: every head then de-fuses and the
+    // trace is the one-instruction-per-dispatch one.
     constexpr std::uint64_t kMaxInteriorValues = kMaxFuseLen - 1;
     constexpr std::uint64_t kMaxFusedLen = kMaxFuseLen;
     const std::uint64_t barrier =
-        std::min(snapshot_barrier_, resync_barrier_);
+        std::min(event_barrier_, resync_barrier_);
     if (!observers_.empty() || !decoded_->fused() || hooks_unfused_)
         fuse_value_limit_ = 0;
     else
@@ -1138,24 +1178,27 @@ Interpreter::armGoldenResync()
     resync_barrier_ = kNoSnapshotBarrier;
     if (!resync_store_)
         return;
-    // Anchor strictly after the *current* value count. Although the
-    // imminent rollback rewinds control to the region entry, the
-    // memory image does not follow it there: the undo log only covers
-    // checkpoint-required locations (none at all for idempotent
-    // regions, clobbering stores only for checkpointed ones), so
-    // locations the region wrote without a checkpoint keep their
-    // later-than-entry values until the replay overwrites them. The
-    // earliest point the live state can equal a golden snapshot is
-    // therefore at-or-after the current position — exactly where the
+    // Anchor strictly after the detection point, in golden
+    // coordinates. Although the rollback rewinds control to the region
+    // entry, the memory image does not follow it there: the undo log
+    // only covers checkpoint-required locations (none at all for
+    // idempotent regions, clobbering stores only for checkpointed
+    // ones), so locations the region wrote without a checkpoint keep
+    // their later-than-entry values until the replay overwrites them.
+    // The earliest point the live state can equal a golden snapshot is
+    // therefore at-or-after the detection point — exactly where the
     // replay finishes re-deriving what the fault window corrupted. An
     // anchor is self-certifying (the watch fires only on full
-    // semantic-state equality), so a conservative choice costs
-    // nothing in correctness.
-    const Snapshot *anchor = resync_store_->findFirstAfter(value_count_);
+    // semantic-state equality), so a conservative choice costs nothing
+    // in correctness.
+    const Snapshot *anchor =
+        resync_store_->findFirstAfter(rollback_golden_pos_);
     if (!anchor)
         return;
     resync_target_ = anchor;
-    resync_barrier_ = anchor->exec.value_count;
+    // The replay reaches the anchor's loop top at the anchor's golden
+    // count shifted by every stretch replayed so far.
+    resync_barrier_ = anchor->exec.value_count + replay_offset_;
     resync_top_ip_ = anchor->exec.frames.back().ip;
     resync_full_compares_ = 0;
     // The new barrier narrows the de-fuse window; retighten it so no
@@ -1171,6 +1214,7 @@ Interpreter::tryGoldenResync()
 {
     constexpr std::uint32_t kMaxResyncFullCompares = 8;
 
+    ++resync_probes_;
     const ExecSnapshot &exec = resync_target_->exec;
 
     // Cheap-first laddering: stack depth and the top frame's cursor
@@ -1222,10 +1266,11 @@ Interpreter::tryGoldenResync()
                         frame.regs + frame.func->num_regs))
             return false;
         const RecoveryState &rec = frame.recovery;
-        // rec.token (and next_token_) are deliberately excluded: tokens
-        // are a session counter — a rolled-back trial's run ahead of
-        // the golden run's — and nothing reads them once detection is
-        // past. Everything else, including the undo log contents, is
+        // rec.token (and next_token_) and rec.entry_values are
+        // deliberately excluded: tokens are a session counter and entry
+        // counts a value count — a rolled-back trial's run ahead of the
+        // golden run's — and nothing semantic reads them once detection
+        // is past. Everything else, including the undo log contents, is
         // state a future `restore` could observe.
         if (rec.active != saved.rec_active ||
             rec.region != saved.rec_region ||
@@ -1263,6 +1308,7 @@ Interpreter::saveExecState(ExecSnapshot &out) const
         saved.rec_region = frame.recovery.region;
         saved.rec_token = frame.recovery.token;
         saved.rec_recovery_block = frame.recovery.recovery_block;
+        saved.rec_entry_values = frame.recovery.entry_values;
         saved.rec_log.reserve(frame.recovery.log.size());
         for (const Undo &undo : frame.recovery.log) {
             saved.rec_log.push_back(SnapUndo{undo.kind == Undo::Kind::Mem,
@@ -1303,6 +1349,7 @@ Interpreter::restoreExecState(const ExecSnapshot &snap)
         frame.recovery.region = saved.rec_region;
         frame.recovery.token = saved.rec_token;
         frame.recovery.recovery_block = saved.rec_recovery_block;
+        frame.recovery.entry_values = saved.rec_entry_values;
         frame.recovery.log.clear();
         frame.recovery.log.reserve(saved.rec_log.size());
         for (const SnapUndo &undo : saved.rec_log) {

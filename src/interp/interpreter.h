@@ -16,9 +16,10 @@
  * (interp/decoded.h), not the IR lists directly. The DecodedModule
  * cache is built once — either privately by the Interpreter(Module)
  * constructor or up front by the caller and shared — and is immutable
- * afterwards. Dispatch is a dense switch over the flat instruction
- * array (a computed-goto dispatcher can be selected with the
- * ENCORE_COMPUTED_GOTO CMake option on GCC/Clang). Frames, register
+ * afterwards. Dispatch is a computed-goto jump table over the flat
+ * instruction array (the ENCORE_COMPUTED_GOTO CMake option, on by
+ * default for GCC/Clang; turning it off selects a portable dense
+ * switch with the same case bodies). Frames, register
  * files, and checkpoint undo logs are pooled across run() calls, so a
  * reused Interpreter executes allocation-free in steady state — the
  * fault injector runs tens of thousands of trials per worker on one
@@ -72,6 +73,9 @@ struct RunResult
     /// caller owns adopting the golden outcome (return value, output
     /// equality); the counters here cover only the executed portion.
     bool golden_resync = false;
+    /// Calls into the golden-resync state-equality ladder this run
+    /// (see Interpreter::armGoldenResync).
+    std::uint64_t resync_probes = 0;
     std::string error;
     /// Final contents of every global object, for output comparison.
     /// Left empty when the interpreter runs with setCaptureGlobals(false)
@@ -103,17 +107,37 @@ class Interpreter
     /// fresh per-trial observers each run).
     void clearObservers() { observers_.clear(); }
 
-    /// Installs active hooks (not owned); pass nullptr to remove. The
-    /// hook's needsUnfusedDispatch() capability is sampled here: hooks
-    /// that use the branch/memory filter points pin superinstruction
-    /// fusion off for as long as they stay installed (the filter points
-    /// exist only in the unfused handlers).
+    /// Installs active hooks (not owned); pass nullptr to remove.
+    /// Every subsequent run arms them at a value-count barrier: until
+    /// the run's value count reaches `arm_at_value` it executes
+    /// hook-free (fused, no virtual calls) and the hooks see nothing;
+    /// at the first loop top where it does, they go live on the
+    /// per-instruction sites, so the next value-producing instruction
+    /// is the first one they filter. The default 0 arms them before the
+    /// first instruction. Rare sites (onRuntimeError,
+    /// onDetectionHandled) use the hooks from the start of the run.
+    ///
+    /// A hook whose needsUnfusedDispatch() is true opens a strike
+    /// window at the arm point: superinstruction fusion is pinned off
+    /// (the branch/memory filter points exist only in the unfused
+    /// handlers) until endStrikeWindow() or quiesceHooks() lifts it.
     void
-    setHooks(ExecHooks *hooks)
+    setHooks(ExecHooks *hooks, std::uint64_t arm_at_value = 0)
     {
         hooks_ = hooks;
-        hot_hooks_ = hooks;
-        hooks_unfused_ = hooks && hooks->needsUnfusedDispatch();
+        hook_arm_at_ = arm_at_value;
+    }
+
+    /// Closes the strike window opened by a needsUnfusedDispatch()
+    /// hook: the filter points go quiet and the run fuses again. The
+    /// hooks call this once their branch/memory strike has fired.
+    void
+    endStrikeWindow()
+    {
+        if (hooks_unfused_) {
+            hooks_unfused_ = false;
+            recomputeFuseLimits();
+        }
     }
 
     /// Drops the installed hooks from the per-instruction hot sites
@@ -124,17 +148,13 @@ class Interpreter
     /// hot callback is an observationally-silent no-op, yet the
     /// post-rollback replay is exactly where most of a trial's
     /// instructions execute; skipping the virtual dispatch there
-    /// roughly halves replay cost. Re-installed by the next
-    /// setHooks(). Also lifts an unfused-dispatch pin, so the
-    /// post-rollback replay re-fuses.
+    /// roughly halves replay cost. Re-armed by the next run. Also
+    /// closes a strike window, so the post-rollback replay re-fuses.
     void
     quiesceHooks()
     {
         hot_hooks_ = nullptr;
-        if (hooks_unfused_) {
-            hooks_unfused_ = false;
-            recomputeFuseLimits();
-        }
+        endStrikeWindow();
     }
 
     /// Execution budget; runs exceeding it end with InstructionLimit.
@@ -190,18 +210,29 @@ class Interpreter
         resync_golden_dyn_ = golden_total_dyn;
     }
 
-    /// Arms the golden-resync watch. The caller (the injection hooks)
-    /// must guarantee that from this point on it is a pure
-    /// pass-through — fault injected, detection handled by a
-    /// successful rollback — so that the moment the live state exactly
-    /// equals a golden snapshot, the remainder of the run is the
-    /// golden suffix by determinism. The anchor is the earliest
-    /// snapshot past the current value count — the rollback replays
-    /// the region from its entry, and the live memory image (which
-    /// keeps uncheckpointed later-than-entry values) can only
-    /// reconverge with the golden run at-or-after the current
-    /// position. When the live state matches the anchor, the dispatch
-    /// loop finishes immediately with RunResult::golden_resync set.
+    /// Arms the golden-resync watch. The caller (the injection hooks,
+    /// from onDetectionHandled) must guarantee that from this point on
+    /// it is a pure pass-through — fault injected, detection handled by
+    /// a successful rollback — so that the moment the live state
+    /// exactly equals a golden snapshot, the remainder of the run is
+    /// the golden suffix by determinism.
+    ///
+    /// Positions are kept in golden coordinates. Every rollback replays
+    /// its region from the value count recorded at `region.enter`, so
+    /// the live count runs ahead of the golden run's by the summed
+    /// length of the replayed stretches (the replay offset). The anchor
+    /// is the earliest snapshot past the detection point's
+    /// golden-equivalent position (live count minus the offset before
+    /// this rollback): the live memory image keeps uncheckpointed
+    /// later-than-entry values, so it can only reconverge at-or-after
+    /// that point. The barrier is the anchor's value count plus the
+    /// new offset — the live count at which a converged replay reaches
+    /// the anchor's loop top — so the replay runs fused up to it and
+    /// the tryGoldenResync ladder runs once there. If that probe fails
+    /// the watch stays armed for later visits of the anchor's code
+    /// position, up to the full-compare cap. When the live state
+    /// matches, the dispatch loop finishes immediately with
+    /// RunResult::golden_resync set.
     void armGoldenResync();
 
     /// Asks the dispatch loop to finish (status Ok) as soon as the
@@ -268,6 +299,10 @@ class Interpreter
         ir::RegionId region = ir::kInvalidRegion;
         std::uint64_t token = 0;
         std::uint32_t recovery_block = kNoDecodedBlock;
+        /// Value count when `region.enter` opened this instance: the
+        /// point a rollback replays from (golden-resync bookkeeping
+        /// only, never compared).
+        std::uint64_t entry_values = 0;
         std::vector<Undo> log;
     };
 
@@ -315,9 +350,17 @@ class Interpreter
     /// executing) or false if the run must be abandoned.
     bool handleDetection(Frame &frame);
 
+    /// Resets the per-run event state (hook arming, resync watch,
+    /// replay offset, trial stop) shared by run() and resumeRun().
+    void beginRun();
+
     /// The dispatch loop, shared by run() (from a freshly set-up entry
     /// frame) and resumeRun() (from a restored snapshot).
     RunResult execLoop();
+
+    /// Loop-top handler for event_barrier_: captures a snapshot and/or
+    /// arms the hooks, whichever barrier value_count_ has reached.
+    void onEventBarrier();
 
     /// Semantics of every pure value opcode (Mov..Select), shared by
     /// the fused handlers; identical to the unfused case bodies
@@ -334,9 +377,10 @@ class Interpreter
                                              std::uint64_t b,
                                              std::uint64_t c);
 
-    /// Recomputes the de-fuse guard thresholds (see fuse_value_limit_
-    /// below). Called whenever an input changes: loop entry, a
-    /// snapshot capture, arming a resync watch.
+    /// Recomputes event_barrier_ and the de-fuse guard thresholds (see
+    /// fuse_value_limit_ below). Called whenever an input changes: loop
+    /// entry, a snapshot capture, arming the hooks or a resync watch,
+    /// closing a strike window.
     void recomputeFuseLimits();
 
     /// Exact-equality test of the live state against the armed resync
@@ -355,12 +399,15 @@ class Interpreter
     Memory memory_;
     std::vector<Observer *> observers_;
     ExecHooks *hooks_ = nullptr;
-    /// Same as hooks_ at the per-instruction call sites, but nulled by
-    /// quiesceHooks() once the hooks declare themselves pass-through.
+    /// Value count at which each run arms hooks_ (see setHooks).
+    std::uint64_t hook_arm_at_ = 0;
+    /// hooks_ at the per-instruction call sites once armed; null before
+    /// the arm barrier and again after quiesceHooks().
     ExecHooks *hot_hooks_ = nullptr;
-    /// Cached hooks_->needsUnfusedDispatch(): pins fusion off (see
-    /// recomputeFuseLimits) and gates the branch/memory filter call
-    /// sites. Cleared by quiesceHooks().
+    /// Strike window: hooks_->needsUnfusedDispatch(), sampled at the
+    /// arm point. Pins fusion off (see recomputeFuseLimits) and gates
+    /// the branch/memory filter call sites. Cleared by
+    /// endStrikeWindow() and quiesceHooks().
     bool hooks_unfused_ = false;
     std::uint64_t max_instrs_ = 200'000'000;
     bool capture_globals_ = true;
@@ -382,10 +429,16 @@ class Interpreter
     std::uint64_t next_token_ = 0;
 
     /// Snapshot recording: the loop captures into `recorder_` whenever
-    /// value_count_ crosses `snapshot_barrier_` (kNoSnapshotBarrier
-    /// keeps the check a single never-taken compare on normal runs).
+    /// value_count_ crosses `snapshot_barrier_`.
     SnapshotStore *recorder_ = nullptr;
     std::uint64_t snapshot_barrier_ = kNoSnapshotBarrier;
+    /// Hook arming: hot_hooks_ goes live when value_count_ crosses
+    /// `hook_arm_barrier_` (hook_arm_at_ while a run has hooks to arm).
+    std::uint64_t hook_arm_barrier_ = kNoSnapshotBarrier;
+    /// min(snapshot_barrier_, hook_arm_barrier_): the loop top tests
+    /// this one value, so a run with neither event pending pays a
+    /// single never-taken compare.
+    std::uint64_t event_barrier_ = kNoSnapshotBarrier;
 
     /// Golden resync: `resync_barrier_` stays kNoSnapshotBarrier until
     /// armGoldenResync() picks an anchor, keeping the loop-top check a
@@ -399,6 +452,13 @@ class Interpreter
     /// before calling into the tryGoldenResync ladder.
     std::uint32_t resync_top_ip_ = ~0u;
     std::uint32_t resync_full_compares_ = 0;
+    std::uint64_t resync_probes_ = 0;
+    /// How far the live value count runs ahead of the golden run's:
+    /// the summed lengths of the stretches rollbacks replayed.
+    std::uint64_t replay_offset_ = 0;
+    /// Golden-equivalent value position of the latest rollback's
+    /// detection point (the anchor search starts after it).
+    std::uint64_t rollback_golden_pos_ = 0;
 
     /// Outcome-sealed early exit (requestTrialStop): checked only on
     /// the detection-handling paths, so it costs nothing per
@@ -412,9 +472,10 @@ class Interpreter
     /// redispatches the head unfused and the sequence executes one
     /// source instruction per loop iteration, hitting every boundary
     /// exactly as EngineKind::Decoded would. fuse_value_limit_ is the
-    /// nearer of the snapshot/resync barriers minus the most values a
-    /// sequence's non-final components can produce; observers force 0
-    /// (permanent de-fuse — observers must see each instruction).
+    /// nearest of the snapshot/hook-arm/resync barriers minus the most
+    /// values a sequence's non-final components can produce; observers
+    /// and an open strike window force 0 (permanent de-fuse — observers
+    /// must see each instruction).
     /// fuse_dyn_limit_ keeps the whole sequence under max_instrs_.
     std::uint64_t fuse_value_limit_ = 0;
     std::uint64_t fuse_dyn_limit_ = 0;

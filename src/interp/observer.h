@@ -72,11 +72,12 @@ class ExecHooks
   public:
     virtual ~ExecHooks() = default;
 
-    /// Capability query, sampled once by Interpreter::setHooks. Hooks
-    /// that need the per-instruction branch/memory filter points below
-    /// must return true: those points exist only in the unfused
-    /// handlers, so the interpreter pins superinstruction fusion off
-    /// while such hooks are installed (and re-fuses on quiesceHooks).
+    /// Capability query, sampled when the interpreter arms the hooks
+    /// (see Interpreter::setHooks). Hooks that need the per-instruction
+    /// branch/memory filter points below must return true: those points
+    /// exist only in the unfused handlers, so arming such hooks opens a
+    /// strike window with superinstruction fusion pinned off, until the
+    /// hooks call Interpreter::endStrikeWindow() (or quiesceHooks()).
     virtual bool
     needsUnfusedDispatch() const
     {
@@ -111,10 +112,10 @@ class ExecHooks
     }
 
     /// Called on the unfused path after a branch/jump has computed its
-    /// taken target block and before control transfers (only when
-    /// needsUnfusedDispatch() is true). The hook may rewrite `target`
-    /// to redirect control — the control-flow fault-injection point.
-    /// `num_blocks` is the current function's block count.
+    /// taken target block and before control transfers (only inside a
+    /// strike window, see needsUnfusedDispatch()). The hook may rewrite
+    /// `target` to redirect control — the control-flow fault-injection
+    /// point. `num_blocks` is the current function's block count.
     virtual void
     filterBranchTarget(const ir::Instruction &inst, std::uint32_t &target,
                        std::uint32_t num_blocks, std::uint64_t dyn_index)
@@ -126,12 +127,12 @@ class ExecHooks
     }
 
     /// Called on the unfused path after a load/store has evaluated and
-    /// validated its address, before the access (only when
-    /// needsUnfusedDispatch() is true). The hook may rewrite `offset`
-    /// (the interpreter re-validates it and surfaces an out-of-range
-    /// result as a runtime error — an address-bus fault) and returns an
-    /// XOR mask applied to the transferred data word (0 = clean) — the
-    /// memory-bus fault-injection point.
+    /// validated its address, before the access (only inside a strike
+    /// window, see needsUnfusedDispatch()). The hook may rewrite
+    /// `offset` (the interpreter re-validates it and surfaces an
+    /// out-of-range result as a runtime error — an address-bus fault)
+    /// and returns an XOR mask applied to the transferred data word
+    /// (0 = clean) — the memory-bus fault-injection point.
     virtual std::uint64_t
     filterMemoryOp(const ir::Instruction &inst, bool is_store,
                    ir::ObjectId object, std::uint32_t &offset,

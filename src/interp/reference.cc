@@ -124,7 +124,8 @@ ReferenceInterpreter::execValueOp(Frame &frame, const ir::Instruction &inst)
       case Opcode::Shr:
         return a >> (b & 63);
       case Opcode::Neg:
-        return fromSigned(-asSigned(a));
+        // Unsigned: negating INT64_MIN wraps instead of overflowing.
+        return std::uint64_t{0} - a;
       case Opcode::Not:
         return ~a;
       case Opcode::FAdd:

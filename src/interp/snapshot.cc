@@ -129,6 +129,7 @@ SnapshotStore::stats() const
     stats.hits = hits_.load(std::memory_order_relaxed);
     stats.misses = misses_.load(std::memory_order_relaxed);
     stats.resyncs = resyncs_.load(std::memory_order_relaxed);
+    stats.resync_probes = resync_probes_.load(std::memory_order_relaxed);
     return stats;
 }
 

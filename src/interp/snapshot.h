@@ -15,13 +15,13 @@
  * restores in O(live memory), independent of trace position.
  *
  * A trial whose fault target lies at value index T may start from the
- * latest snapshot with value_count <= T: before the injection point a
- * trial's hooks are pure pass-throughs (no filtering, no detection, no
- * taint), so its execution prefix is bit-identical to the golden run
- * the snapshots were cut from. Restoring therefore produces exactly
- * the state the trial would have reached by re-executing the prefix —
- * outcomes are bit-identical to full re-execution by construction,
- * and a differential test over every workload enforces it.
+ * latest snapshot with value_count <= T: a trial's hooks arm only at T
+ * (no filtering, no detection, no taint before it), so its execution
+ * prefix is bit-identical to the golden run the snapshots were cut
+ * from. Restoring therefore produces exactly the state the trial
+ * would have reached by re-executing the prefix — outcomes are
+ * bit-identical to full re-execution by construction, and a
+ * differential test over every workload enforces it.
  *
  * Snapshots also serve as resync anchors on the way *out* of a trial:
  * after a successful rollback the hooks become pure pass-throughs for
@@ -29,7 +29,9 @@
  * state equals a golden snapshot past the injection point, the rest
  * of the execution is the golden suffix by determinism. The trial
  * stops there and adopts the golden outcome (bit-identical again —
- * see Interpreter::tryGoldenResync and findFirstAfter()).
+ * see Interpreter::armGoldenResync, which places the watch at the
+ * anchor's value count shifted by the replayed stretches, and
+ * findFirstAfter()).
  *
  * Budget policy: when a capture would push the store past
  * `byte_budget`, the capture is discarded (the pool is truncated
@@ -100,6 +102,9 @@ struct SnapFrame
     ir::RegionId rec_region = ir::kInvalidRegion;
     std::uint64_t rec_token = 0;
     std::uint32_t rec_recovery_block = 0;
+    /// Value count at the active region's `region.enter` (see
+    /// Interpreter::armGoldenResync).
+    std::uint64_t rec_entry_values = 0;
     std::vector<SnapUndo> rec_log;
 };
 
@@ -136,6 +141,10 @@ struct SnapshotStats
     /// the run is the golden suffix by determinism and the trial
     /// adopted the golden outcome immediately.
     std::uint64_t resyncs = 0;
+    /// Calls into the golden-resync state-equality ladder, summed over
+    /// trials (Interpreter::tryGoldenResync). Deterministic: the count
+    /// of one trial depends only on its draw.
+    std::uint64_t resync_probes = 0;
 
     double
     hitRate() const
@@ -168,9 +177,10 @@ class SnapshotStore
     const Snapshot *findAtOrBefore(std::uint64_t target) const;
 
     /// Earliest snapshot with value_count > target, or nullptr. This
-    /// is the golden-resync anchor: after a rollback past value index
-    /// `target`, the trial watches for its state to converge onto this
-    /// snapshot. Thread-safe after recording; does not touch counters.
+    /// is the golden-resync anchor: after a rollback whose detection
+    /// point sits at golden-equivalent value index `target`, the trial
+    /// watches for its state to converge onto this snapshot.
+    /// Thread-safe after recording; does not touch counters.
     const Snapshot *findFirstAfter(std::uint64_t target) const;
 
     /// Records one golden-resync fast-forward (stats only).
@@ -178,6 +188,13 @@ class SnapshotStore
     noteResync() const
     {
         resyncs_.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    /// Adds one trial's resync probe count (stats only).
+    void
+    noteResyncProbes(std::uint64_t probes) const
+    {
+        resync_probes_.fetch_add(probes, std::memory_order_relaxed);
     }
 
     const PagePool &pool() const { return pool_; }
@@ -197,6 +214,7 @@ class SnapshotStore
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
     mutable std::atomic<std::uint64_t> resyncs_{0};
+    mutable std::atomic<std::uint64_t> resync_probes_{0};
 };
 
 } // namespace encore::interp

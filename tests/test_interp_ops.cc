@@ -265,6 +265,39 @@ func @main(1) {
     EXPECT_EQ(interp.run("main", {5}).return_value, 4u);
 }
 
+TEST(UnaryOps, NegOfInt64MinWrapsInEveryEngine)
+{
+    // -INT64_MIN has no signed result, and a fault can leave that value
+    // in any register. Every engine must wrap it to INT64_MIN (two's
+    // complement) without signed overflow — a UBSan build traps on the
+    // overflow. The first neg heads a fused value run (the fused
+    // engine's applyValueOp path); the second sits alone before the
+    // ret (the unfused handler in both flat engines).
+    const std::string text = R"(
+module "m"
+global @A 2
+func @main(1) {
+  bb entry:
+    r1 = neg r0
+    r2 = add r1, 0
+    store [@A], r2
+    r3 = neg r0
+    ret r3
+}
+)";
+    auto module = ir::parseModule(text);
+    const DecodedModule fused(*module, EngineKind::Fused);
+    ASSERT_GT(fused.functionByName("main")->code[0].fused_len, 1u);
+
+    ReferenceInterpreter ref(*module);
+    const RunResult want = ref.run("main", {kMinI64});
+    ASSERT_TRUE(want.ok()) << want.error;
+    EXPECT_EQ(want.return_value, kMinI64);
+    ASSERT_EQ(want.globals.size(), 1u);
+    EXPECT_EQ(want.globals[0][0], kMinI64);
+    expectEnginesAgree(text, {kMinI64});
+}
+
 TEST(FpOps, ArithmeticAndComparison)
 {
     auto module = ir::parseModule(R"(
