@@ -364,7 +364,11 @@ main(int argc, char **argv)
                      << ", \"snapshot_resyncs\": "
                      << wp.snapshots.resyncs
                      << ", \"snapshot_resync_probes\": "
-                     << wp.snapshots.resync_probes << "}"
+                     << wp.snapshots.resync_probes
+                     << ", \"snapshot_replay_profiles\": "
+                     << wp.snapshots.replay_profiles
+                     << ", \"snapshot_replay_skips\": "
+                     << wp.snapshots.replay_skips << "}"
                      << (i + 1 < perf.size() ? "," : "") << "\n";
             }
             json << "  ]\n}\n";

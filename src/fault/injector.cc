@@ -559,7 +559,12 @@ FaultInjector::configureSnapshots(const interp::SnapshotConfig &config)
 interp::SnapshotStats
 FaultInjector::snapshotStats() const
 {
-    return snapshots_ ? snapshots_->stats() : interp::SnapshotStats{};
+    if (!snapshots_)
+        return interp::SnapshotStats{};
+    interp::SnapshotStats stats = snapshots_->stats();
+    stats.replay_profiles = replay_profiles_->built();
+    stats.replay_skips = replay_profiles_->skips();
+    return stats;
 }
 
 bool
@@ -568,6 +573,7 @@ FaultInjector::prepare(const std::string &entry,
 {
     entry_ = entry;
     args_ = args;
+    replay_profiles_.reset();
     snapshots_.reset();
     interp::Interpreter interp(decoded_);
     if (snap_config_.enabled && snap_config_.stride > 0) {
@@ -592,6 +598,12 @@ FaultInjector::prepare(const std::string &entry,
     prepared_ = golden_.ok();
     if (!prepared_)
         snapshots_.reset();
+    if (snapshots_) {
+        // Empty until a trial's long replay asks for a profile: prepare
+        // does no extra work.
+        replay_profiles_ = std::make_unique<interp::ReplayProfiles>(
+            decoded_, *snapshots_, entry, args);
+    }
     return prepared_;
 }
 
@@ -695,8 +707,12 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
     // The same snapshots double as resync anchors on the way *out*:
     // after a successful rollback the hooks arm a watch, and the trial
     // fast-forwards the moment its state equals a golden snapshot past
-    // the injection point (see TrialHooks::onDetectionHandled).
-    interp.setResyncSource(snapshots_.get(), golden_.dyn_instrs);
+    // the injection point (see TrialHooks::onDetectionHandled). Long
+    // replays may instead be proven at region re-entry from a golden
+    // region-instance profile (interp/replay_profile.h).
+    interp.setResyncSource(
+        snapshots_.get(), golden_.dyn_instrs,
+        use_replay_profiles_ ? replay_profiles_.get() : nullptr);
 
     const interp::RunResult result =
         snap ? interp.resumeRun(*snap, snapshots_->pool())

@@ -45,6 +45,7 @@
 #include "fault/masking.h"
 #include "fault/models/fault_model.h"
 #include "interp/interpreter.h"
+#include "interp/replay_profile.h"
 
 namespace encore::fault {
 
@@ -197,9 +198,18 @@ class FaultInjector
         return snapshots_ && snapshots_->size() > 0;
     }
 
-    /// Store counters (count/bytes/stride/hit-rate); all-zero when the
-    /// tier is disabled.
+    /// Store counters (count/bytes/stride/hit-rate, resyncs, replay
+    /// certificates); all-zero when the tier is disabled.
     interp::SnapshotStats snapshotStats() const;
+
+    /// Test seam: with `enabled` false, trials run without replay
+    /// profiles (every long replay runs to its resync anchor, as with
+    /// no certificate at all). Toggle only between trials.
+    void
+    setReplayProfilesForTesting(bool enabled)
+    {
+        use_replay_profiles_ = enabled;
+    }
 
     /// Executes the golden (fault-free) run; must be called before
     /// trials. When the snapshot tier is enabled, the same run also
@@ -321,6 +331,11 @@ class FaultInjector
     /// (in practice prepare() happens once, before trials start).
     interp::SnapshotConfig snap_config_;
     std::shared_ptr<interp::SnapshotStore> snapshots_;
+    /// Replay certificates over snapshots_: an empty cache after
+    /// prepare(), filled lazily by the trials whose long replays ask
+    /// for a region-instance profile (interp/replay_profile.h).
+    std::unique_ptr<interp::ReplayProfiles> replay_profiles_;
+    bool use_replay_profiles_ = true;
 
     /// Scratch interpreter for the convenience runTrial overload;
     /// lazily created, guarded by its mutex.

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <new>
 
+#include <sys/mman.h>
+
+#include "interp/replay_profile.h"
 #include "support/diagnostics.h"
 
 // Dispatch selection. ENCORE_COMPUTED_GOTO (the CMake default on
@@ -243,8 +247,28 @@ Interpreter::Interpreter(std::shared_ptr<const DecodedModule> decoded)
     // One contiguous register arena for the whole call stack; frames
     // index it by (depth × stride), so pushes never allocate and the
     // Frame::regs pointers stay valid for the interpreter's lifetime.
-    reg_arena_.assign(
-        static_cast<std::size_t>(kMaxCallDepth) * max_regs_, 0);
+    // It is mapped from the OS, not the heap, and never zero-filled
+    // (every frame window is written before it is read, see
+    // activateFrame / restoreExecState): pages of depths never reached
+    // never become resident, and freeing it returns the whole range
+    // instead of leaving a hole in the malloc arena of the thread that
+    // built it — replay-profile builds construct a private interpreter
+    // mid-trial on campaign worker threads.
+    const std::size_t bytes =
+        std::max<std::size_t>(1, kMaxCallDepth * max_regs_) *
+        sizeof(std::uint64_t);
+    void *arena = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (arena == MAP_FAILED)
+        throw std::bad_alloc();
+    reg_arena_ = std::unique_ptr<std::uint64_t[], ArenaUnmap>(
+        static_cast<std::uint64_t *>(arena), ArenaUnmap{bytes});
+}
+
+void
+Interpreter::ArenaUnmap::operator()(std::uint64_t *arena) const
+{
+    ::munmap(arena, bytes);
 }
 
 void
@@ -292,7 +316,7 @@ Interpreter::activateFrame(const DecodedFunction &func)
     if (depth_ == frames_.size())
         frames_.emplace_back();
     Frame &frame = frames_[depth_];
-    frame.regs = reg_arena_.data() + depth_ * max_regs_;
+    frame.regs = reg_arena_.get() + depth_ * max_regs_;
     ++depth_;
     frame.func = &func;
     std::fill_n(frame.regs, func.num_regs, 0);
@@ -420,6 +444,7 @@ Interpreter::beginRun()
     resync_probes_ = 0;
     replay_offset_ = 0;
     rollback_golden_pos_ = 0;
+    replay_check_ = false;
     trial_stop_ = false;
 }
 
@@ -845,6 +870,15 @@ Interpreter::execLoop()
                     rec.entry_values = value_count_;
                 }
                 ++frame.ip;
+                // A long replay re-entering its region: one shot at
+                // proving the resync here (see armGoldenResync).
+                if (replay_check_) {
+                    replay_check_ = false;
+                    if (tryReplaySkip()) {
+                        result.golden_resync = true;
+                        return finish(RunResult::Status::Ok, {});
+                    }
+                }
             }
                 ENCORE_NEXT;
             ENCORE_OP(CkptMem): {
@@ -1176,6 +1210,7 @@ Interpreter::armGoldenResync()
 {
     resync_target_ = nullptr;
     resync_barrier_ = kNoSnapshotBarrier;
+    replay_check_ = false;
     if (!resync_store_)
         return;
     // Anchor strictly after the detection point, in golden
@@ -1201,6 +1236,13 @@ Interpreter::armGoldenResync()
     resync_barrier_ = anchor->exec.value_count + replay_offset_;
     resync_top_ip_ = anchor->exec.frames.back().ip;
     resync_full_compares_ = 0;
+    // Replay certificate for long replays only: a short one costs less
+    // than the check, and asking only here keeps short replays exactly
+    // as they were. The rolled-back frame is the top one.
+    replay_check_ =
+        replay_profiles_ &&
+        value_count_ - frames_[depth_ - 1].recovery.entry_values >=
+            resync_store_->stride();
     // The new barrier narrows the de-fuse window; retighten it so no
     // fused sequence straddles the anchor's loop-top boundary. (This
     // runs inside a detection callback — the handler in flight is
@@ -1259,36 +1301,108 @@ Interpreter::tryGoldenResync()
     for (std::size_t f = 0; f < depth_; ++f) {
         const Frame &frame = frames_[f];
         const SnapFrame &saved = exec.frames[f];
-        if (frame.func->index != saved.func_index ||
-            frame.block != saved.block || frame.ip != saved.ip ||
-            frame.caller_dest != saved.caller_dest ||
+        if (!frameStateMatches(frame, saved) ||
             !std::equal(saved.regs.begin(), saved.regs.end(), frame.regs,
                         frame.regs + frame.func->num_regs))
             return false;
-        const RecoveryState &rec = frame.recovery;
-        // rec.token (and next_token_) and rec.entry_values are
-        // deliberately excluded: tokens are a session counter and entry
-        // counts a value count — a rolled-back trial's run ahead of the
-        // golden run's — and nothing semantic reads them once detection
-        // is past. Everything else, including the undo log contents, is
-        // state a future `restore` could observe.
-        if (rec.active != saved.rec_active ||
-            rec.region != saved.rec_region ||
-            rec.recovery_block != saved.rec_recovery_block)
+    }
+
+    return memory_.matches(resync_target_->mem, resync_store_->pool());
+}
+
+bool
+Interpreter::frameStateMatches(const Frame &frame,
+                               const SnapFrame &saved) const
+{
+    if (frame.func->index != saved.func_index ||
+        frame.block != saved.block || frame.ip != saved.ip ||
+        frame.caller_dest != saved.caller_dest)
+        return false;
+    const RecoveryState &rec = frame.recovery;
+    // rec.token (and next_token_) and rec.entry_values are deliberately
+    // excluded: tokens are a session counter and entry counts a value
+    // count — a rolled-back trial's run ahead of the golden run's — and
+    // nothing semantic reads them once detection is past. Everything
+    // else, including the undo log contents, is state a future
+    // `restore` could observe.
+    if (rec.active != saved.rec_active || rec.region != saved.rec_region ||
+        rec.recovery_block != saved.rec_recovery_block ||
+        rec.log.size() != saved.rec_log.size())
+        return false;
+    for (std::size_t u = 0; u < rec.log.size(); ++u) {
+        const Undo &a = rec.log[u];
+        const SnapUndo &b = saved.rec_log[u];
+        if ((a.kind == Undo::Kind::Mem) != b.is_mem ||
+            a.object != b.object || a.offset != b.offset ||
+            a.reg != b.reg || a.value != b.value)
             return false;
-        if (rec.log.size() != saved.rec_log.size())
+    }
+    return true;
+}
+
+bool
+Interpreter::tryReplaySkip()
+{
+    const Frame &top = frames_[depth_ - 1];
+    // The replay re-enters at the golden-equivalent of this value count
+    // (the offset already includes this rollback), which is also what
+    // places the watch's barrier: a run that mirrors the golden run
+    // from here reaches the anchor exactly at the barrier.
+    const ReplayKey key{value_count_ - replay_offset_,
+                        static_cast<std::uint32_t>(depth_),
+                        top.func->index, top.block, top.ip};
+    const ReplayProfile *profile = replay_profiles_->get(key);
+    if (!profile || !resync_target_)
+        return false;
+    const ExecSnapshot &entry = profile->entry;
+    // The anchor as an ordinal among the snapshots after the entry: the
+    // accesses before it are what the replay would re-derive.
+    const std::size_t anchor_index = resync_store_->indexOf(*resync_target_);
+    if (anchor_index < profile->first_anchor ||
+        anchor_index - profile->first_anchor >= profile->anchors ||
+        dyn_count_ < entry.dyn_count)
+        return false;
+    const std::uint64_t until = anchor_index - profile->first_anchor;
+    // tryGoldenResync's budget projection, for the anchor the mirrored
+    // replay reaches as many instructions from now as the golden run
+    // took from the entry.
+    if (dyn_count_ - entry.dyn_count + resync_golden_dyn_ >= max_instrs_)
+        return false;
+
+    if (depth_ != entry.frames.size())
+        return false;
+    for (std::size_t f = 0; f < depth_; ++f) {
+        const Frame &frame = frames_[f];
+        const SnapFrame &saved = entry.frames[f];
+        if (!frameStateMatches(frame, saved))
             return false;
-        for (std::size_t u = 0; u < rec.log.size(); ++u) {
-            const Undo &a = rec.log[u];
-            const SnapUndo &b = saved.rec_log[u];
-            if ((a.kind == Undo::Kind::Mem) != b.is_mem ||
-                a.object != b.object || a.offset != b.offset ||
-                a.reg != b.reg || a.value != b.value)
+        const std::vector<std::uint8_t> &codes = profile->regs[f];
+        for (std::uint32_t r = 0; r < frame.func->num_regs; ++r) {
+            if (frame.regs[r] != saved.regs[r] &&
+                !ReplayProfile::writtenFirstBefore(codes[r], until))
                 return false;
         }
     }
 
-    return memory_.matches(resync_target_->mem, resync_store_->pool());
+    if (!memory_.layoutMatches(profile->layout))
+        return false;
+    for (const ReplayProfile::EntryWord &word : profile->entry_words) {
+        if (profile->wordMayDiffer(word.object, word.offset, until) &&
+            memory_.wordAt(word.object, word.offset) != word.value)
+            return false;
+    }
+    // Every other word holds its entry value at the anchor unless the
+    // window writes it first; compare against the anchor image.
+    if (!memory_.wordsMatchExcept(
+            resync_target_->mem, resync_store_->pool(),
+            [&](ir::ObjectId object, std::uint32_t offset) {
+                return profile->wordMayDiffer(object, offset, until);
+            }))
+        return false;
+
+    ++resync_probes_;
+    replay_profiles_->noteSkip();
+    return true;
 }
 
 void
@@ -1332,7 +1446,7 @@ Interpreter::restoreExecState(const ExecSnapshot &snap)
         if (depth_ == frames_.size())
             frames_.emplace_back();
         Frame &frame = frames_[depth_];
-        frame.regs = reg_arena_.data() + depth_ * max_regs_;
+        frame.regs = reg_arena_.get() + depth_ * max_regs_;
         ++depth_;
         frame.func = &decoded_->function(saved.func_index);
         ENCORE_ASSERT(saved.regs.size() == frame.func->num_regs,

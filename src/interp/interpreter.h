@@ -48,6 +48,8 @@
 
 namespace encore::interp {
 
+class ReplayProfiles;
+
 struct RunResult
 {
     enum class Status
@@ -200,14 +202,19 @@ class Interpreter
     /// subsequent runs, together with the golden run's total dynamic
     /// instruction count (needed to prove the fast-forwarded run would
     /// not have hit the instruction budget). Pass nullptr to clear.
-    /// Setting the source does nothing by itself — the watch starts
-    /// when armGoldenResync() is called mid-run.
+    /// `profiles` (optional, recorded from the same golden run as
+    /// `store`) adds replay certificates: a long replay may then be
+    /// proven at region re-entry instead of run to the anchor (see
+    /// armGoldenResync). Setting the source does nothing by itself —
+    /// the watch starts when armGoldenResync() is called mid-run.
     void
     setResyncSource(const SnapshotStore *store,
-                    std::uint64_t golden_total_dyn)
+                    std::uint64_t golden_total_dyn,
+                    ReplayProfiles *profiles = nullptr)
     {
         resync_store_ = store;
         resync_golden_dyn_ = golden_total_dyn;
+        replay_profiles_ = store ? profiles : nullptr;
     }
 
     /// Arms the golden-resync watch. The caller (the injection hooks,
@@ -233,6 +240,16 @@ class Interpreter
     /// position, up to the full-compare cap. When the live state
     /// matches, the dispatch loop finishes immediately with
     /// RunResult::golden_resync set.
+    ///
+    /// Replay certificate: when a ReplayProfiles source is set and the
+    /// rollback replays at least the store's stride (value count minus
+    /// the instance's entry count), the next `region.enter` — the
+    /// replay re-entering the instance — checks the live state against
+    /// the instance's golden profile (tryReplaySkip). A pass proves the
+    /// replay would reach the anchor in exactly the anchor's state, so
+    /// the run finishes there as a golden resync counted as the one
+    /// probe the watch would have taken; a refusal disarms the check,
+    /// counts nothing, and the replay runs to the barrier as above.
     void armGoldenResync();
 
     /// Asks the dispatch loop to finish (status Ok) as soon as the
@@ -283,6 +300,10 @@ class Interpreter
     }
 
   private:
+    /// Builds replay profiles on a private interpreter, reading its
+    /// frames and memory before each instruction.
+    friend class ReplayTracker;
+
     struct Undo
     {
         enum class Kind : std::uint8_t { Mem, Reg };
@@ -394,6 +415,20 @@ class Interpreter
     /// full-compare cap is exhausted.
     bool tryGoldenResync();
 
+    /// Exact equality of a live frame with a saved one — cursor, call
+    /// wiring, recovery state and undo log — leaving the registers to
+    /// the caller. Tokens and entry counts are not compared.
+    bool frameStateMatches(const Frame &frame, const SnapFrame &saved) const;
+
+    /// The replay certificate, run once at the first `region.enter`
+    /// after armGoldenResync() armed it: looks up (or builds) the
+    /// golden profile of the instance being re-entered and checks the
+    /// one rule — every location that differs from the profile's entry
+    /// state is first written by the golden run before the anchor — plus
+    /// the budget projection tryGoldenResync applies. True when the run
+    /// may finish as a golden resync (one probe counted).
+    bool tryReplaySkip();
+
     std::shared_ptr<const DecodedModule> decoded_;
     const ir::Module &module_;
     Memory memory_;
@@ -415,11 +450,17 @@ class Interpreter
     // Per-run state. `frames_` is a pool that only ever grows (bounded
     // by the call-depth limit); frames_[0 .. depth_) are live.
     std::vector<Frame> frames_;
+    /// Unmaps the register arena.
+    struct ArenaUnmap
+    {
+        std::size_t bytes;
+        void operator()(std::uint64_t *arena) const;
+    };
     /// Backing store for every frame's register file, sized
     /// kMaxCallDepth × (widest num_regs in the module) once in the
     /// constructor; never resized, so Frame::regs pointers stay valid
     /// across pushes.
-    std::vector<std::uint64_t> reg_arena_;
+    std::unique_ptr<std::uint64_t[], ArenaUnmap> reg_arena_;
     std::uint32_t max_regs_ = 0; ///< Arena stride (widest num_slots).
     std::size_t depth_ = 0;
     std::uint64_t dyn_count_ = 0;
@@ -459,6 +500,10 @@ class Interpreter
     /// Golden-equivalent value position of the latest rollback's
     /// detection point (the anchor search starts after it).
     std::uint64_t rollback_golden_pos_ = 0;
+    /// Replay certificates (see armGoldenResync): the profile source,
+    /// and whether the next `region.enter` runs tryReplaySkip.
+    ReplayProfiles *replay_profiles_ = nullptr;
+    bool replay_check_ = false;
 
     /// Outcome-sealed early exit (requestTrialStop): checked only on
     /// the detection-handling paths, so it costs nothing per

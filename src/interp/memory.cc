@@ -193,17 +193,11 @@ Memory::capture(MemSnapshot &out, const MemSnapshot *prev,
     const std::uint32_t pw = 1u << page_shift_;
     ENCORE_ASSERT(pool.page_words == pw,
                   "capture into a pool with a different page size");
-    out.objects.clear();
-    out.page_refs.clear();
-    out.frames.clear();
-    out.objects.reserve(storage_.size());
-
+    captureLayout(out);
     for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
-        MemObjectImage img;
-        img.allocated = allocated_[id] != 0;
+        MemObjectImage &img = out.objects[id];
         if (img.allocated) {
             const std::vector<std::uint64_t> &words = storage_[id];
-            img.size = static_cast<std::uint32_t>(words.size());
             img.num_pages = (img.size + pw - 1) / pw;
             img.first_ref =
                 static_cast<std::uint32_t>(out.page_refs.size());
@@ -237,21 +231,6 @@ Memory::capture(MemSnapshot &out, const MemSnapshot *prev,
                 out.page_refs.push_back(ref);
             }
         }
-        out.objects.push_back(img);
-    }
-
-    out.frames.reserve(depth_);
-    for (std::size_t f = 0; f < depth_; ++f) {
-        MemFrameImage frame;
-        frame.saved.reserve(frames_[f].saved.size());
-        for (const SavedLocal &saved : frames_[f].saved) {
-            SavedLocalImage image;
-            image.id = saved.id;
-            image.was_allocated = saved.was_allocated;
-            image.contents = saved.contents;
-            frame.saved.push_back(std::move(image));
-        }
-        out.frames.push_back(std::move(frame));
     }
 }
 
@@ -338,48 +317,52 @@ Memory::restore(const MemSnapshot &snap, const PagePool &pool)
 bool
 Memory::matches(const MemSnapshot &snap, const PagePool &pool) const
 {
-    if (snap.objects.size() != storage_.size())
-        return false;
-    const std::uint32_t pw = pool.page_words;
-    const bool delta = tracking_ && mirror_ != nullptr &&
-                       mirror_pool_uid_ == pool.uid &&
-                       (1u << page_shift_) == pw;
+    return layoutMatches(snap) &&
+           wordsMatchExcept(snap, pool, [](ir::ObjectId, std::uint32_t) {
+               return false;
+           });
+}
+
+void
+Memory::captureLayout(MemSnapshot &out) const
+{
+    out.objects.assign(storage_.size(), MemObjectImage{});
+    out.page_refs.clear();
     for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
-        const MemObjectImage &img = snap.objects[id];
+        out.objects[id].allocated = allocated_[id] != 0;
+        if (out.objects[id].allocated)
+            out.objects[id].size =
+                static_cast<std::uint32_t>(storage_[id].size());
+    }
+    out.frames.clear();
+    out.frames.reserve(depth_);
+    for (std::size_t f = 0; f < depth_; ++f) {
+        MemFrameImage frame;
+        frame.saved.reserve(frames_[f].saved.size());
+        for (const SavedLocal &saved : frames_[f].saved)
+            frame.saved.push_back(SavedLocalImage{
+                saved.id, saved.was_allocated, saved.contents});
+        out.frames.push_back(std::move(frame));
+    }
+}
+
+bool
+Memory::layoutMatches(const MemSnapshot &layout) const
+{
+    if (layout.objects.size() != storage_.size())
+        return false;
+    for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
+        const MemObjectImage &img = layout.objects[id];
         if (img.allocated != (allocated_[id] != 0))
             return false;
-        if (!img.allocated)
-            continue;
-        const std::vector<std::uint64_t> &words = storage_[id];
-        if (words.size() != img.size)
+        if (img.allocated && img.size != storage_[id].size())
             return false;
-        const MemObjectImage *mi = delta ? &mirror_->objects[id] : nullptr;
-        const bool use_mirror =
-            mi && mi->allocated && mi->size == img.size;
-        for (std::uint32_t p = 0; p < img.num_pages; ++p) {
-            const std::uint32_t ref = snap.page_refs[img.first_ref + p];
-            // A page untouched since the last restore still holds the
-            // mirror snapshot's contents; a shared pool ref then makes
-            // it equal to the candidate's page with no word compare.
-            if (use_mirror && p < dirty_[id].size() &&
-                dirty_[id][p] == 0 &&
-                mirror_->page_refs[mi->first_ref + p] == ref)
-                continue;
-            const std::uint64_t *src =
-                pool.words.data() + std::size_t(ref) * pw;
-            const std::uint32_t base = p * pw;
-            const std::uint32_t count = std::min(pw, img.size - base);
-            for (std::uint32_t i = 0; i < count; ++i)
-                if (words[base + i] != src[i])
-                    return false;
-        }
     }
-
-    if (depth_ != snap.frames.size())
+    if (depth_ != layout.frames.size())
         return false;
     for (std::size_t f = 0; f < depth_; ++f) {
         const FrameRecord &record = frames_[f];
-        const MemFrameImage &image = snap.frames[f];
+        const MemFrameImage &image = layout.frames[f];
         if (record.saved.size() != image.saved.size())
             return false;
         for (std::size_t i = 0; i < image.saved.size(); ++i) {

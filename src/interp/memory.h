@@ -29,6 +29,7 @@
 #ifndef ENCORE_INTERP_MEMORY_H
 #define ENCORE_INTERP_MEMORY_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -186,6 +187,30 @@ class Memory
     /// matches the candidate's is equal without touching its words.
     bool matches(const MemSnapshot &snap, const PagePool &pool) const;
 
+    // --- Layout and word compares (matches() and the replay
+    // certificates of interp/replay_profile.h) ---------------------------
+    /// Captures the layout only: allocation flags and sizes per object
+    /// plus the local-object shadow stack, with no pages (capture()
+    /// adds the page tables on top).
+    void captureLayout(MemSnapshot &out) const;
+
+    /// Exact equality of allocation flags, sizes and the shadow stack
+    /// against a layout from captureLayout() (or a full snapshot).
+    bool layoutMatches(const MemSnapshot &layout) const;
+
+    /// Word comparison of every allocated object against `snap`, with
+    /// exceptions: a word that differs, or any word of an object `snap`
+    /// does not hold at the same size, must satisfy
+    /// `may_differ(object, offset)`. Allocation flags and the shadow
+    /// stack are not compared (see layoutMatches). A page clean since
+    /// the last restore whose pool ref matches `snap`'s is equal without
+    /// a word compare (the restore mirror), so the predicate runs only
+    /// on words that actually differ. matches() is this with no
+    /// exceptions, after layoutMatches().
+    template <typename MayDiffer>
+    bool wordsMatchExcept(const MemSnapshot &snap, const PagePool &pool,
+                          MayDiffer &&may_differ) const;
+
   private:
     struct SavedLocal
     {
@@ -229,6 +254,49 @@ class Memory
     const MemSnapshot *mirror_ = nullptr;
     std::uint64_t mirror_pool_uid_ = 0;
 };
+
+template <typename MayDiffer>
+bool
+Memory::wordsMatchExcept(const MemSnapshot &snap, const PagePool &pool,
+                         MayDiffer &&may_differ) const
+{
+    if (snap.objects.size() != storage_.size())
+        return false;
+    const std::uint32_t pw = pool.page_words;
+    const bool delta = tracking_ && mirror_ != nullptr &&
+                       mirror_pool_uid_ == pool.uid &&
+                       (1u << page_shift_) == pw;
+    for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
+        if (!allocated_[id])
+            continue;
+        const std::vector<std::uint64_t> &words = storage_[id];
+        const auto size = static_cast<std::uint32_t>(words.size());
+        const MemObjectImage &img = snap.objects[id];
+        if (!img.allocated || img.size != size) {
+            for (std::uint32_t i = 0; i < size; ++i)
+                if (!may_differ(id, i))
+                    return false;
+            continue;
+        }
+        const MemObjectImage *mi = delta ? &mirror_->objects[id] : nullptr;
+        const bool use_mirror = mi && mi->allocated && mi->size == size;
+        for (std::uint32_t p = 0; p < img.num_pages; ++p) {
+            const std::uint32_t ref = snap.page_refs[img.first_ref + p];
+            if (use_mirror && p < dirty_[id].size() &&
+                dirty_[id][p] == 0 &&
+                mirror_->page_refs[mi->first_ref + p] == ref)
+                continue;
+            const std::uint64_t *src =
+                pool.words.data() + std::size_t(ref) * pw;
+            const std::uint32_t base = p * pw;
+            const std::uint32_t count = std::min(pw, size - base);
+            for (std::uint32_t i = 0; i < count; ++i)
+                if (words[base + i] != src[i] && !may_differ(id, base + i))
+                    return false;
+        }
+    }
+    return true;
+}
 
 } // namespace encore::interp
 

@@ -94,17 +94,20 @@ SnapshotStore::capture(Interpreter &interp)
 const Snapshot *
 SnapshotStore::findAtOrBefore(std::uint64_t target) const
 {
+    const Snapshot *snap = latestAtOrBefore(target);
+    (snap ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return snap;
+}
+
+const Snapshot *
+SnapshotStore::latestAtOrBefore(std::uint64_t target) const
+{
     auto it = std::upper_bound(
         snapshots_.begin(), snapshots_.end(), target,
         [](std::uint64_t t, const Snapshot &s) {
             return t < s.exec.value_count;
         });
-    if (it == snapshots_.begin()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return nullptr;
-    }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &*(it - 1);
+    return it == snapshots_.begin() ? nullptr : &*(it - 1);
 }
 
 const Snapshot *

@@ -145,6 +145,12 @@ struct SnapshotStats
     /// trials (Interpreter::tryGoldenResync). Deterministic: the count
     /// of one trial depends only on its draw.
     std::uint64_t resync_probes = 0;
+    /// Replay certificates (interp/replay_profile.h): region-instance
+    /// profiles built, and resyncs proven when a long replay re-entered
+    /// its region instead of at the anchor. Both deterministic at any
+    /// job count; profile bytes are not part of `bytes`.
+    std::uint64_t replay_profiles = 0;
+    std::uint64_t replay_skips = 0;
 
     double
     hitRate() const
@@ -176,6 +182,10 @@ class SnapshotStore
     /// re-execution). Thread-safe after recording; counts hits/misses.
     const Snapshot *findAtOrBefore(std::uint64_t target) const;
 
+    /// findAtOrBefore() without touching the hit/miss counters (replay
+    /// profile builds seek with it; those are not trials).
+    const Snapshot *latestAtOrBefore(std::uint64_t target) const;
+
     /// Earliest snapshot with value_count > target, or nullptr. This
     /// is the golden-resync anchor: after a rollback whose detection
     /// point sits at golden-equivalent value index `target`, the trial
@@ -199,7 +209,16 @@ class SnapshotStore
 
     const PagePool &pool() const { return pool_; }
     std::size_t size() const { return snapshots_.size(); }
+    /// Snapshots in recording order, and the position of one of them.
+    const Snapshot &at(std::size_t index) const { return snapshots_[index]; }
+    std::size_t
+    indexOf(const Snapshot &snap) const
+    {
+        return static_cast<std::size_t>(&snap - snapshots_.data());
+    }
     std::uint64_t bytesUsed() const { return bytes_; }
+    /// Final barrier stride (after any budget doublings).
+    std::uint64_t stride() const { return stride_; }
 
     SnapshotStats stats() const;
 

@@ -16,6 +16,13 @@
  * sequence: the unfused strike window of the branch/memory models, and
  * the golden-resync barrier shifted by the replay offset, which may only
  * ever change how fast a trial ends, never how it is classified.
+ *
+ * Replay certificates (interp/replay_profile.h) go one step further:
+ * they end a long replay at region re-entry. Their tests run the same
+ * injector with and without profiles and require every trial to end
+ * identically — outcome, replay cost, golden resync and resync probe
+ * count — so a certificate may only prove what the watch would have
+ * found.
  */
 #include <gtest/gtest.h>
 
@@ -476,6 +483,406 @@ TEST(SnapshotDifferential, AdaptiveStrideStaysWithinBudget)
     for (int i = 0;
          i < static_cast<int>(fault::FaultOutcome::NumOutcomes); ++i)
         EXPECT_EQ(a.counts[i], b.counts[i]);
+}
+
+// ---- Replay certificates ---------------------------------------------
+
+/// Everything one trial exposes, including how it ended: whether it
+/// resynced and how many resync probes it took (read from the
+/// injector's counters around the call).
+struct TrialTrace
+{
+    fault::FaultOutcome outcome = fault::FaultOutcome::Masked;
+    std::uint32_t aux = 0;
+    std::uint64_t resyncs = 0;
+    std::uint64_t probes = 0;
+
+    bool operator==(const TrialTrace &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const TrialTrace &t)
+{
+    return os << outcomeName(t.outcome) << " aux " << t.aux << " resyncs "
+              << t.resyncs << " probes " << t.probes;
+}
+
+template <typename Run>
+TrialTrace
+traceTrial(const fault::FaultInjector &injector, Run &&run)
+{
+    const interp::SnapshotStats before = injector.snapshotStats();
+    TrialTrace trace;
+    trace.outcome = run(trace.aux);
+    const interp::SnapshotStats after = injector.snapshotStats();
+    trace.resyncs = after.resyncs - before.resyncs;
+    trace.probes = after.resync_probes - before.resync_probes;
+    return trace;
+}
+
+/// Counter deltas of one campaign.
+interp::SnapshotStats
+campaignDelta(const fault::FaultInjector &injector,
+              const fault::CampaignConfig &cc, fault::CampaignResult &out)
+{
+    const interp::SnapshotStats before = injector.snapshotStats();
+    out = injector.runCampaign(cc);
+    interp::SnapshotStats delta = injector.snapshotStats();
+    delta.hits -= before.hits;
+    delta.misses -= before.misses;
+    delta.resyncs -= before.resyncs;
+    delta.resync_probes -= before.resync_probes;
+    delta.replay_skips -= before.replay_skips;
+    return delta;
+}
+
+/// Runs every trial of `cc` on one injector with and without replay
+/// profiles (per trial, then in aggregate at jobs 1 and 4) and requires
+/// identical traces. Returns the skips proven with profiles at jobs 1.
+std::uint64_t
+expectProfilesInvisible(fault::FaultInjector &injector,
+                        fault::CampaignConfig cc)
+{
+    interp::Interpreter interp(injector.decodedModule());
+    for (std::uint64_t t = 0; t < cc.trials; ++t) {
+        TrialTrace traces[2];
+        for (const bool profiles : {true, false}) {
+            injector.setReplayProfilesForTesting(profiles);
+            traces[profiles] = traceTrial(injector, [&](std::uint32_t &aux) {
+                return injector.runCampaignTrial(t, cc, interp, aux);
+            });
+        }
+        EXPECT_EQ(traces[true], traces[false]) << "trial " << t;
+    }
+
+    std::uint64_t skips = 0;
+    for (const std::size_t jobs : {1u, 4u}) {
+        cc.jobs = jobs;
+        fault::CampaignResult a, b;
+        injector.setReplayProfilesForTesting(true);
+        const interp::SnapshotStats with = campaignDelta(injector, cc, a);
+        injector.setReplayProfilesForTesting(false);
+        const interp::SnapshotStats without = campaignDelta(injector, cc, b);
+        EXPECT_EQ(without.replay_skips, 0u);
+        EXPECT_EQ(a.replay_cost, b.replay_cost) << "jobs " << jobs;
+        for (int i = 0;
+             i < static_cast<int>(fault::FaultOutcome::NumOutcomes); ++i)
+            EXPECT_EQ(a.counts[i], b.counts[i])
+                << "jobs " << jobs << ", outcome "
+                << outcomeName(static_cast<fault::FaultOutcome>(i));
+        EXPECT_EQ(with.resyncs, without.resyncs) << "jobs " << jobs;
+        EXPECT_EQ(with.resync_probes, without.resync_probes)
+            << "jobs " << jobs;
+        EXPECT_EQ(with.hits, without.hits) << "jobs " << jobs;
+        EXPECT_EQ(with.misses, without.misses) << "jobs " << jobs;
+        if (jobs == 1)
+            skips = with.replay_skips;
+        else
+            EXPECT_EQ(with.replay_skips, skips) << "jobs " << jobs;
+    }
+    injector.setReplayProfilesForTesting(true);
+    return skips;
+}
+
+std::unique_ptr<fault::FaultInjector>
+preparedInjector(const Prepared &p, const workloads::Workload &w)
+{
+    auto injector = std::make_unique<fault::FaultInjector>(*p.module,
+                                                           p.report);
+    EXPECT_TRUE(injector->prepare(w.entry, w.train_args));
+    return injector;
+}
+
+TEST(ReplayCertificate, InvisibleOnAllWorkloads)
+{
+    // Default pair, default snapshot stride: only replays at least one
+    // stride long ask for a profile, so this is the configuration the
+    // certificates were built for.
+    std::uint64_t skips = 0;
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        const Prepared p = runPipeline(w);
+        const auto injector = preparedInjector(p, w);
+        fault::CampaignConfig cc;
+        cc.trials = 80;
+        cc.seed = 20261019;
+        cc.trial.dmax = 100;
+        cc.model_masking = false;
+        skips += expectProfilesInvisible(*injector, cc);
+    }
+    // The comparison only bites where certificates fire.
+    EXPECT_GT(skips, 100u);
+}
+
+TEST(ReplayCertificate, InvisibleOnAllScenarioPairs)
+{
+    for (const char *name : {"mpeg2dec", "rawcaudio", "g721encode", "cjpeg"}) {
+        SCOPED_TRACE(name);
+        const workloads::Workload *w = workloads::findWorkload(name);
+        ASSERT_NE(w, nullptr);
+        const Prepared p = runPipeline(*w);
+        const auto injector = preparedInjector(p, *w);
+        std::uint64_t skips = 0;
+        for (const std::string_view model :
+             fault::models::faultModelNames()) {
+            for (const std::string_view detector :
+                 fault::models::detectorNames()) {
+                SCOPED_TRACE(std::string(model) + " + " +
+                             std::string(detector));
+                fault::CampaignConfig cc;
+                cc.trials = 40;
+                cc.seed = 20261020;
+                cc.trial.dmax = 100;
+                cc.trial.model = fault::models::findFaultModel(model);
+                cc.trial.detector = fault::models::findDetector(detector);
+                cc.model_masking = false;
+                skips += expectProfilesInvisible(*injector, cc);
+            }
+        }
+        EXPECT_GT(skips, 0u);
+    }
+}
+
+TEST(ReplayCertificate, CountersOnMpeg2dec)
+{
+    // mpeg2dec's idempotent regions are whole loop nests: nearly every
+    // resync follows a replay at least one stride long, and those all
+    // roll back into a couple of region instances. The first rollbacks
+    // of the jobs=4 campaign race on the lazy build of one profile (the
+    // TSan lane runs this test); the counters must not depend on it.
+    const workloads::Workload *w = workloads::findWorkload("mpeg2dec");
+    ASSERT_NE(w, nullptr);
+    const Prepared p = runPipeline(*w);
+
+    fault::CampaignConfig cc;
+    cc.trials = 8000;
+    cc.seed = 1;
+    cc.trial.dmax = 100;
+    interp::SnapshotStats stats[2];
+    fault::CampaignResult results[2];
+    for (const std::size_t jobs : {1u, 4u}) {
+        const auto injector = preparedInjector(p, *w);
+        cc.jobs = jobs;
+        results[jobs == 4] = injector->runCampaign(cc);
+        stats[jobs == 4] = injector->snapshotStats();
+    }
+    const interp::SnapshotStats &s = stats[0];
+    ASSERT_GT(s.resyncs, 100u);
+    EXPECT_GE(s.replay_profiles, 1u);
+    EXPECT_LE(s.replay_profiles, 3u);
+    EXPECT_GE(static_cast<double>(s.replay_skips),
+              0.9 * static_cast<double>(s.resyncs))
+        << s.replay_skips << " skips for " << s.resyncs << " resyncs";
+    EXPECT_EQ(stats[1].replay_profiles, s.replay_profiles);
+    EXPECT_EQ(stats[1].replay_skips, s.replay_skips);
+    EXPECT_EQ(stats[1].resyncs, s.resyncs);
+    EXPECT_EQ(stats[1].resync_probes, s.resync_probes);
+    for (int i = 0; i < static_cast<int>(fault::FaultOutcome::NumOutcomes);
+         ++i)
+        EXPECT_EQ(results[1].counts[i], results[0].counts[i]);
+}
+
+TEST(ReplayCertificate, BudgetProjectionRefuses)
+{
+    // At run_budget_factor 1 a run may exceed the golden length by only
+    // 10,000 instructions, less than mpeg2dec's long replays re-execute:
+    // the projected total trips the budget, the trial ends in
+    // InstructionLimit, and a certificate must refuse it exactly where
+    // the watch would.
+    const workloads::Workload *w = workloads::findWorkload("mpeg2dec");
+    ASSERT_NE(w, nullptr);
+    const Prepared p = runPipeline(*w);
+    const OnOff io =
+        prepareOnOff(*p.module, p.report, w->entry, w->train_args, 1024);
+
+    fault::CampaignConfig cc;
+    cc.trials = 60;
+    cc.seed = 3;
+    cc.trial.dmax = 100;
+    cc.model_masking = false;
+    fault::CampaignResult roomy;
+    const interp::SnapshotStats roomy_stats =
+        campaignDelta(*io.on, cc, roomy);
+
+    cc.trial.run_budget_factor = 1.0;
+    const fault::CampaignResult tight = expectCampaignsMatch(io, cc);
+    expectProfilesInvisible(*io.on, cc);
+    fault::CampaignResult again;
+    const interp::SnapshotStats tight_stats =
+        campaignDelta(*io.on, cc, again);
+    EXPECT_GT(tight.count(fault::FaultOutcome::NotRecoverable),
+              roomy.count(fault::FaultOutcome::NotRecoverable));
+    EXPECT_LT(tight_stats.replay_skips, roomy_stats.replay_skips);
+}
+
+/// A hand-instrumented region for the certificate's refusals. The
+/// non-checkpointed counter @C survives a rollback, so the first
+/// re-entry differs from the golden entry in a word the golden run
+/// reads before rewriting (refused), and the first replay takes the
+/// `boom` path: it puts @C back, writes r30 = r0 & 1, @Y = (r0 >> 1) & 1
+/// and @Z = r0 >> 2, and dies on a wild load — a runtime error, hence a
+/// second rollback and a second check. With r0 = 0 that check passes.
+/// With r0 = 1, r30 differs and the golden run writes it only after the
+/// anchor (refused); with r0 = 4 the same holds for @Z. With r0 = 2, @Y
+/// differs and the golden run's first access to it is `ckpt.mem`
+/// (refused: a checkpoint reads).
+///
+/// Golden value indices: r1 = 0; the entry E at count 1; body 1..9;
+/// r7, r9 (the fault target), r10 at 10..12; six r11 at 13..18 (a stride
+/// of 8 puts the anchor, the snapshot at count 16, among them); r30 at
+/// 19, inside the profile's window; the loop from 20.
+const char *kReplayRegionText = R"(
+module "m"
+global @C 1
+global @Y 1
+global @Z 1
+global @OUT 1
+func @main(1) {
+  bb entry:
+    r1 = mov 0
+    jmp pre
+  bb pre:
+    region.enter 0
+    jmp body
+  bb body:
+    r2 = load [@C]
+    r3 = add r2, 1
+    store [@C], r3
+    r4 = add r1, 1
+    r4 = add r4, 1
+    r4 = add r4, 1
+    r4 = add r4, 1
+    r4 = add r4, 1
+    r4 = add r4, 1
+    r6 = cmpeq r3, 2
+    br r6, boom, work
+  bb boom:
+    store [@C], 0
+    r30 = and r0, 1
+    r7 = shr r0, 1
+    r7 = and r7, 1
+    store [@Y], r7
+    r7 = shr r0, 2
+    store [@Z], r7
+    r7 = mov 64
+    r8 = load [@OUT + r7]
+    jmp work
+  bb work:
+    r7 = mov 0
+    r9 = add r1, 5
+    r10 = mul r9, 3
+    ckpt.mem [@Y]
+    store [@Y], r10
+    r11 = add r10, 1
+    r11 = add r11, 1
+    r11 = add r11, 1
+    r11 = add r11, 1
+    r11 = add r11, 1
+    r11 = add r11, 1
+    store [@OUT], r11
+    r30 = mov 0
+    store [@Z], r30
+    jmp tailpre
+  bb tailpre:
+    region.enter 4294967295
+    jmp loop
+  bb loop:
+    r12 = load [@OUT]
+    r13 = add r12, r1
+    store [@OUT], r13
+    r1 = add r1, 1
+    r14 = cmplt r1, 12
+    br r14, loop, done
+  bb done:
+    r15 = load [@OUT]
+    ret r15
+  bb __recover.0:
+    restore 0
+    jmp pre
+}
+)";
+
+/// Strikes r9 (value index 11) with detection at the next instruction.
+/// Both replays are longer than the stride of 8, and both rollbacks
+/// anchor at the snapshot at count 16.
+TrialTrace
+runReplayRegionTrial(const fault::FaultInjector &injector,
+                     interp::Interpreter &interp)
+{
+    return traceTrial(injector, [&](std::uint32_t &aux) {
+        aux = 0;
+        return injector.runTrialAt(11, 3, 0, fault::TrialConfig{}, interp);
+    });
+}
+
+/// The trial on the region above with argument `r0`, with profiles,
+/// without, and at stride 0; returns the profile counters.
+interp::SnapshotStats
+expectReplayRegionMatches(std::uint64_t r0, TrialTrace &trace)
+{
+    auto module = ir::parseModule(kReplayRegionText);
+    ir::Function *f = module->functionByName("main");
+    f->blockByName("pre")->instructions().front().setSucc0(
+        f->blockByName("__recover.0"));
+    const EncoreReport report;
+    const OnOff io = prepareOnOff(*module, report, "main", {r0}, 8);
+    EXPECT_TRUE(io.on->snapshotsActive());
+
+    interp::Interpreter interp_on(io.on->decodedModule());
+    interp::Interpreter interp_off(io.off->decodedModule());
+    const TrialTrace full = runReplayRegionTrial(*io.off, interp_off);
+    EXPECT_EQ(full.outcome, fault::FaultOutcome::RecoveredCheckpoint);
+    io.on->setReplayProfilesForTesting(false);
+    const TrialTrace without = runReplayRegionTrial(*io.on, interp_on);
+    const interp::SnapshotStats before = io.on->snapshotStats();
+    io.on->setReplayProfilesForTesting(true);
+    trace = runReplayRegionTrial(*io.on, interp_on);
+    EXPECT_EQ(trace.outcome, full.outcome);
+    EXPECT_EQ(trace, without);
+    interp::SnapshotStats stats = io.on->snapshotStats();
+    stats.replay_skips -= before.replay_skips;
+    return stats;
+}
+
+TEST(ReplayCertificate, SecondCheckAfterRuntimeErrorPasses)
+{
+    // Check 1 refuses @C (read before rewritten, left at 1); the replay
+    // dies on the wild load and rolls back again; check 2 finds only
+    // write-first differences and proves the resync, as the one probe
+    // the watch would have taken.
+    TrialTrace trace;
+    const interp::SnapshotStats stats = expectReplayRegionMatches(0, trace);
+    EXPECT_EQ(stats.replay_profiles, 1u);
+    EXPECT_EQ(stats.replay_skips, 1u);
+    EXPECT_EQ(trace.resyncs, 1u);
+    EXPECT_EQ(trace.probes, 1u);
+}
+
+TEST(ReplayCertificate, RegisterWrittenAfterAnchorRefuses)
+{
+    TrialTrace trace;
+    const interp::SnapshotStats stats = expectReplayRegionMatches(1, trace);
+    EXPECT_EQ(stats.replay_profiles, 1u);
+    EXPECT_EQ(stats.replay_skips, 0u);
+    EXPECT_EQ(trace.resyncs, 0u);
+}
+
+TEST(ReplayCertificate, CheckpointReadRefuses)
+{
+    TrialTrace trace;
+    const interp::SnapshotStats stats = expectReplayRegionMatches(2, trace);
+    EXPECT_EQ(stats.replay_profiles, 1u);
+    EXPECT_EQ(stats.replay_skips, 0u);
+    EXPECT_EQ(trace.resyncs, 0u);
+}
+
+TEST(ReplayCertificate, WordWrittenAfterAnchorRefuses)
+{
+    TrialTrace trace;
+    const interp::SnapshotStats stats = expectReplayRegionMatches(4, trace);
+    EXPECT_EQ(stats.replay_profiles, 1u);
+    EXPECT_EQ(stats.replay_skips, 0u);
+    EXPECT_EQ(trace.resyncs, 0u);
 }
 
 } // namespace
