@@ -5,10 +5,13 @@
 # soak that SIGKILLs a serve/worker fleet member mid-campaign)
 # followed by the ThreadSanitizer campaign lane (the concurrent
 # trial-store writer, the multi-threaded campaign/resume paths, and
-# the coordinator/worker service), the UndefinedBehaviorSanitizer
-# trial-path lane (opcode semantics on every engine, the event-driven
-# trial path with its snapshot differential, the injector and the
-# fault models — where a struck register can hold any value), then a
+# the coordinator/worker service, the shared trial executor), the
+# UndefinedBehaviorSanitizer trial-path lane (opcode semantics on every
+# engine, the event-driven trial path with its snapshot differential,
+# the injector and the fault models — where a struck register can hold
+# any value), the AddressSanitizer campaign lane (the same trial path
+# plus the trial executor, runner, planner and trial store — the
+# pooled per-slot interpreters and positional result buffers), then a
 # campaign-planner smoke
 # (sweep-reuse tally identity against brute force, plus a tiny
 # adaptive early-stopping campaign), a scenario-matrix smoke (every
@@ -21,8 +24,9 @@
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
 #   tier-1 lane builds into <build-root>/tier1, the TSan lane into
-#   <build-root>/tsan and the UBSan lane into <build-root>/ubsan, so
-#   none touches a developer's build/.
+#   <build-root>/tsan, the UBSan lane into <build-root>/ubsan and the
+#   ASan lane into <build-root>/asan, so none touches a developer's
+#   build/.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -38,10 +42,10 @@ echo "==> [tsan] configure + build"
 cmake -B "${build_root}/tsan" -S "${repo_root}" \
     -DENCORE_SANITIZE=thread > /dev/null
 cmake --build "${build_root}/tsan" -j > /dev/null
-echo "==> [tsan] campaign smoke: concurrent store writer + runner + service"
+echo "==> [tsan] campaign smoke: concurrent store writer + runner + service + executor"
 (cd "${build_root}/tsan" &&
     ctest --output-on-failure \
-        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_planner|test_fault_models|test_snapshot_differential')
+        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_planner|test_fault_models|test_snapshot_differential|test_trial_executor')
 
 echo "==> [ubsan] configure + build"
 cmake -B "${build_root}/ubsan" -S "${repo_root}" \
@@ -53,6 +57,18 @@ echo "==> [ubsan] trial path: opcode semantics + snapshot differential + injecto
 (cd "${build_root}/ubsan" &&
     ctest --output-on-failure \
         -R 'test_interp_ops|test_snapshot_differential|test_injector|test_fault_models')
+
+echo "==> [asan] configure + build"
+cmake -B "${build_root}/asan" -S "${repo_root}" \
+    -DENCORE_SANITIZE=address > /dev/null
+cmake --build "${build_root}/asan" -j --target test_interp_ops \
+    test_snapshot_differential test_injector test_fault_models \
+    test_trial_executor test_campaign_smoke test_campaign test_planner \
+    test_trial_store > /dev/null
+echo "==> [asan] campaign + trial path: executor + runner + planner + store"
+(cd "${build_root}/asan" &&
+    ctest --output-on-failure \
+        -R 'test_interp_ops|test_snapshot_differential|test_injector|test_fault_models|test_trial_executor|test_campaign_smoke|test_campaign$|test_planner$|test_trial_store')
 
 echo "==> [planner] sweep-reuse tally identity + adaptive smoke"
 # Hard gate on the planner's central contract: a sidecar-reuse run
@@ -202,4 +218,4 @@ print("interp-smoke: warn-only; see BENCH_interp.json provenance for "
       "the baseline build")
 EOF
 
-echo "==> ci passed (tier1 + tsan campaign lane + ubsan trial lane + planner smoke + scenario matrix + perf smokes)"
+echo "==> ci passed (tier1 + tsan campaign lane + ubsan trial lane + asan campaign lane + planner smoke + scenario matrix + perf smokes)"

@@ -18,7 +18,8 @@
 #               + test_fault_models (registry singletons read from
 #               every worker) + test_snapshot_differential (parallel
 #               campaigns through the unfused branch/memory hook
-#               dispatch path)
+#               dispatch path) + test_trial_executor (one executor's
+#               pool and per-slot interpreters reused across runs)
 #   address   : the full suite (heap/stack/use-after-free gate for the
 #               pooled interpreter state: frames, undo logs, memory)
 #   undefined : the full suite (overflow/misalignment/OOB-shift gate
@@ -45,7 +46,7 @@ run_lane() {
     (cd "${build_dir}" && ctest --output-on-failure "$@")
 }
 
-run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_fault_models|test_snapshot_differential'
+run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_fault_models|test_snapshot_differential|test_trial_executor'
 run_lane address
 run_lane undefined
 

@@ -9,12 +9,11 @@
 #include <unordered_set>
 
 #include "campaign/runner.h"
-#include "fault/masking.h"
+#include "fault/trial_executor.h"
 #include "ir/basic_block.h"
 #include "ir/module.h"
 #include "support/checksum.h"
 #include "support/diagnostics.h"
-#include "support/rng.h"
 #include "support/stats.h"
 #include "support/strings.h"
 
@@ -167,32 +166,6 @@ const char *const kStratumNames[kNumStrata] = {
 
 } // namespace
 
-TrialDraw
-drawCampaignTrial(std::uint64_t trial,
-                  const fault::CampaignConfig &config,
-                  std::uint64_t golden_value_instrs)
-{
-    // Mirrors runCampaignTrial + runTrial draw order exactly: masking
-    // coin (when modelled), then the model's plan, then the
-    // detector's.
-    TrialDraw draw;
-    Rng rng = Rng::forStream(config.seed, trial);
-    if (config.model_masking &&
-        fault::MaskingModel(config.masking_rate).isMasked(rng)) {
-        draw.masked = true;
-        return draw;
-    }
-    const fault::models::FaultModel &model =
-        config.trial.model ? *config.trial.model
-                           : *fault::models::defaultFaultModel();
-    const fault::models::Detector &detector =
-        config.trial.detector ? *config.trial.detector
-                              : *fault::models::defaultDetector();
-    draw.plan = model.draw(rng, golden_value_instrs);
-    draw.detection = detector.draw(rng, config.trial.dmax);
-    return draw;
-}
-
 struct CampaignPlanner::Impl
 {
     const fault::FaultInjector &injector;
@@ -201,7 +174,7 @@ struct CampaignPlanner::Impl
     PlannerOptions options;
 
     bool prepared = false;
-    std::vector<TrialDraw> draws;
+    std::vector<fault::TrialDraw> draws;
     std::uint64_t masked_count = 0;
 
     struct Group
@@ -218,6 +191,10 @@ struct CampaignPlanner::Impl
     };
     std::vector<Group> groups;
 
+    /// The planner's one executor: built on first execution, then
+    /// reused by the group run and every adaptive round.
+    std::unique_ptr<fault::TrialExecutor> executor;
+
     /// Sidecar state (loaded at most once per planner).
     bool sidecar_checked = false;
     TallyContents sidecar;
@@ -233,20 +210,13 @@ struct CampaignPlanner::Impl
     {
     }
 
-    const fault::models::FaultModel &
-    faultModel() const
+    fault::TrialResults
+    execute(const std::vector<std::uint64_t> &trials)
     {
-        return config.trial.model
-                   ? *config.trial.model
-                   : *fault::models::defaultFaultModel();
-    }
-
-    const fault::models::Detector &
-    detectorModel() const
-    {
-        return config.trial.detector
-                   ? *config.trial.detector
-                   : *fault::models::defaultDetector();
+        if (!executor)
+            executor = std::make_unique<fault::TrialExecutor>(
+                injector, config.jobs);
+        return executor->run(config, trials);
     }
 
     const encore::RegionReport *
@@ -280,8 +250,8 @@ struct CampaignPlanner::Impl
         h = fnv1a64(&config.masking_rate, sizeof config.masking_rate,
                     h);
         h = fnv1a64Mix(config.model_masking ? 1 : 0, h);
-        h = fnv1a64(faultModel().name(), h);
-        h = fnv1a64(detectorModel().name(), h);
+        h = fnv1a64(config.trial.faultModel().name(), h);
+        h = fnv1a64(config.trial.detectorModel().name(), h);
         h = fnv1a64Mix(injector.golden().value_instrs, h);
         h = fnv1a64Mix(injector.golden().return_value, h);
         return h;
@@ -304,7 +274,7 @@ struct CampaignPlanner::Impl
         draws.reserve(config.trials);
         for (std::uint64_t t = 0; t < config.trials; ++t) {
             draws.push_back(
-                drawCampaignTrial(t, config, golden.value_instrs));
+                fault::drawCampaignTrial(t, config, golden.value_instrs));
             if (draws.back().masked)
                 ++masked_count;
         }
@@ -312,7 +282,7 @@ struct CampaignPlanner::Impl
         // 2. Sorted unique fault sites for the attribution run.
         std::vector<std::uint64_t> targets;
         targets.reserve(draws.size() - masked_count);
-        for (const TrialDraw &draw : draws)
+        for (const fault::TrialDraw &draw : draws)
             if (!draw.masked)
                 targets.push_back(draw.plan.target_value_index);
         std::sort(targets.begin(), targets.end());
@@ -409,7 +379,7 @@ struct CampaignPlanner::Impl
             index;
         const std::uint64_t base = baseFingerprint();
         for (std::uint64_t t = 0; t < draws.size(); ++t) {
-            const TrialDraw &draw = draws[t];
+            const fault::TrialDraw &draw = draws[t];
             if (draw.masked)
                 continue;
             const auto site_it = std::lower_bound(
@@ -486,17 +456,17 @@ struct CampaignPlanner::Impl
         // branch/memory op, which may sit in a different function, so
         // the attribution — and with it the group fingerprint — would
         // be unsound.
-        if (!faultModel().anchoredStrike())
+        if (!config.trial.faultModel().anchoredStrike())
             fatalf("campaign planner: compositional reuse requires an "
                    "anchored-strike fault model; '",
-                   faultModel().name(),
+                   config.trial.faultModel().name(),
                    "' is not one — rerun without --sidecar");
         // Tally records carry outcome counts only; folding them in
         // would silently drop the reused trials' replay cost.
-        if (detectorModel().reportsReplayCost())
+        if (config.trial.detectorModel().reportsReplayCost())
             fatalf("campaign planner: tally reuse does not account "
                    "replay cost; the '",
-                   detectorModel().name(),
+                   config.trial.detectorModel().name(),
                    "' detector reports it — rerun without --sidecar");
         sidecar_checked = true;
         const std::string &path = options.sidecar_path;
@@ -570,13 +540,6 @@ CampaignPlanner::CampaignPlanner(
 }
 
 CampaignPlanner::~CampaignPlanner() = default;
-
-const std::vector<TrialDraw> &
-CampaignPlanner::draws()
-{
-    impl_->prepare();
-    return impl_->draws;
-}
 
 std::vector<std::uint64_t>
 CampaignPlanner::trialsToExecute()
@@ -663,12 +626,10 @@ CampaignPlanner::run()
         }
     }
 
-    std::vector<std::uint8_t> outcomes;
-    std::vector<std::uint32_t> auxs;
-    executeTrialList(impl_->injector, impl_->config, to_run, outcomes,
-                     {}, &auxs);
+    const fault::TrialResults executed = impl_->execute(to_run);
     for (std::size_t i = 0; i < to_run.size(); ++i)
-        ++impl_->groups[group_of[i]].counts[outcomes[i]];
+        ++impl_->groups[group_of[i]]
+              .counts[static_cast<int>(executed.outcomes[i])];
 
     PlanSummary summary;
     impl_->fillPlanShape(summary);
@@ -694,7 +655,7 @@ CampaignPlanner::run()
             stratum_sampled[group.stratum] += group.trials.size();
     }
     summary.result.trials = impl_->config.trials;
-    for (const std::uint32_t aux : auxs)
+    for (const std::uint32_t aux : executed.aux)
         summary.result.replay_cost += aux;
 
     // Persist the freshly executed groups (last-wins append).
@@ -786,17 +747,14 @@ CampaignPlanner::runAdaptive()
                 trials.push_back(members[s][sampled[s] + i]);
                 stratum_of.push_back(s);
             }
-        std::vector<std::uint8_t> outcomes;
-        std::vector<std::uint32_t> auxs;
-        executeTrialList(impl_->injector, impl_->config, trials,
-                         outcomes, {}, &auxs);
-        for (const std::uint32_t aux : auxs)
+        const fault::TrialResults executed = impl_->execute(trials);
+        for (const std::uint32_t aux : executed.aux)
             replay_cost += aux;
         for (std::size_t i = 0; i < trials.size(); ++i) {
             const int s = stratum_of[i];
-            ++counts[s][outcomes[i]];
-            if (isCoveredOutcome(
-                    static_cast<fault::FaultOutcome>(outcomes[i])))
+            const fault::FaultOutcome outcome = executed.outcomes[i];
+            ++counts[s][static_cast<int>(outcome)];
+            if (isCoveredOutcome(outcome))
                 ++covered[s];
         }
         for (int s = kStratumIdempotent; s < kNumStrata; ++s)

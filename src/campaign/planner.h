@@ -3,12 +3,13 @@
  * Campaign planner: compositional reuse and adaptive stratified
  * sampling on top of the fault-injection campaign machinery.
  *
- * The planner sits between the benches / CLI and the raw campaign
- * execution path. It precomputes every trial's fault parameters from
- * the counter-based seed stream (no execution needed), attributes each
- * fault site to the function and region it strikes with one hooked
- * golden-speed run, and partitions the trial universe into *groups*
- * whose outcomes are a pure function of
+ * The planner sits between the benches / CLI and the campaign
+ * execution path. It precomputes every trial's fault parameters with
+ * fault::drawCampaignTrial — the very draw trial execution uses — so
+ * nothing executes, attributes each fault site to the function and
+ * region it strikes with one hooked golden-speed run, and partitions
+ * the trial universe into *groups* whose outcomes are a pure function
+ * of
  *
  *   (program semantics, fault-model parameters, the struck function's
  *    instrumentation closure)
@@ -31,6 +32,9 @@
  * half-width reaches the target. Every allocation decision depends
  * only on completed-round tallies and strata are sampled in sorted
  * trial order, so results are bit-identical at any --jobs.
+ *
+ * All execution — the group run and every adaptive round — goes
+ * through one fault::TrialExecutor per planner, built on first use.
  */
 #ifndef ENCORE_CAMPAIGN_PLANNER_H
 #define ENCORE_CAMPAIGN_PLANNER_H
@@ -45,31 +49,6 @@
 #include "fault/injector.h"
 
 namespace encore::campaign {
-
-/**
- * The fault parameters of one campaign trial, precomputed from the
- * counter-based stream Rng::forStream(seed, trial) without executing
- * anything. Replicates runCampaignTrial's draw order exactly: masking
- * coin (when modelled), then the fault model's injection plan, then
- * the detector's detection plan — through the same registry draw
- * functions the injector uses, so the planner's precomputation is
- * valid for every (model, detector) pair by construction.
- */
-struct TrialDraw
-{
-    bool masked = false;
-    fault::models::InjectionPlan plan;
-    fault::models::DetectionPlan detection;
-};
-
-/// Draws trial `trial`'s parameters via the campaign's fault model
-/// and detector (config.trial.model / .detector; null means the
-/// defaults). `golden_value_instrs` is the fault-site universe size
-/// (injector.golden().value_instrs). For a masked draw only `masked`
-/// is meaningful.
-TrialDraw drawCampaignTrial(std::uint64_t trial,
-                            const fault::CampaignConfig &config,
-                            std::uint64_t golden_value_instrs);
 
 struct PlannerOptions
 {
@@ -188,10 +167,6 @@ class CampaignPlanner
     PlanSummary plan();
     PlanSummary run();
     PlanSummary runAdaptive();
-
-    /// The precomputed per-trial draws (index = trial). Exposed for
-    /// tests and the serve path's stratum-tagged lease planning.
-    const std::vector<TrialDraw> &draws();
 
     /// Ascending trial indices the sidecar cannot cover — the
     /// execution set a planner-filtered `serve` distributes to

@@ -5,10 +5,10 @@
 #include <sstream>
 
 #include "campaign/progress.h"
+#include "fault/trial_executor.h"
 #include "support/checksum.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
-#include "support/thread_pool.h"
 
 namespace encore::campaign {
 
@@ -121,62 +121,9 @@ campaignFingerprint(const fault::FaultInjector &injector,
     // Scenario identity: the same trial index produces a different
     // outcome under a different fault model or detector, so both names
     // are part of the fingerprint (defaults included).
-    const fault::models::FaultModel &model =
-        config.trial.model ? *config.trial.model
-                           : *fault::models::defaultFaultModel();
-    const fault::models::Detector &detector =
-        config.trial.detector ? *config.trial.detector
-                              : *fault::models::defaultDetector();
-    hash = fnv1a64(model.name(), hash);
-    hash = fnv1a64(detector.name(), hash);
+    hash = fnv1a64(config.trial.faultModel().name(), hash);
+    hash = fnv1a64(config.trial.detectorModel().name(), hash);
     return hash;
-}
-
-void
-executeTrialList(
-    const fault::FaultInjector &injector,
-    const fault::CampaignConfig &config,
-    const std::vector<std::uint64_t> &trials,
-    std::vector<std::uint8_t> &outcomes,
-    const std::function<void(std::uint64_t, fault::FaultOutcome,
-                             std::uint32_t)> &sink,
-    std::vector<std::uint32_t> *aux_out)
-{
-    // Outcomes land slot-free in a preallocated array indexed by the
-    // list position — no shared mutable state beyond whatever the
-    // sink synchronizes internally.
-    outcomes.assign(trials.size(), 0);
-    if (aux_out)
-        aux_out->assign(trials.size(), 0);
-    auto run_one = [&](std::uint64_t i, interp::Interpreter &interp) {
-        std::uint32_t aux = 0;
-        const fault::FaultOutcome outcome =
-            injector.runCampaignTrial(trials[i], config, interp, aux);
-        outcomes[i] = static_cast<std::uint8_t>(outcome);
-        if (aux_out)
-            (*aux_out)[i] = aux;
-        if (sink)
-            sink(trials[i], outcome, aux);
-    };
-
-    const std::size_t jobs = resolveJobs(config.jobs);
-    if (jobs <= 1 || trials.size() <= 1) {
-        interp::Interpreter interp(injector.decodedModule());
-        for (std::uint64_t i = 0; i < trials.size(); ++i)
-            run_one(i, interp);
-    } else {
-        ThreadPool pool(jobs);
-        std::vector<std::unique_ptr<interp::Interpreter>> workers(
-            pool.slotCount());
-        pool.parallelFor(trials.size(),
-                         [&](std::uint64_t i, std::size_t slot) {
-                             if (!workers[slot])
-                                 workers[slot] = std::make_unique<
-                                     interp::Interpreter>(
-                                     injector.decodedModule());
-                             run_one(i, *workers[slot]);
-                         });
-    }
 }
 
 CampaignRunner::CampaignRunner(const fault::FaultInjector &injector,
@@ -210,14 +157,10 @@ CampaignRunner::header() const
     }
     // Scenario identity, checked by resume/merge and surfaced by
     // `inspect`.
-    const fault::models::FaultModel &model =
-        config_.trial.model ? *config_.trial.model
-                            : *fault::models::defaultFaultModel();
-    const fault::models::Detector &detector =
-        config_.trial.detector ? *config_.trial.detector
-                               : *fault::models::defaultDetector();
-    header.fault_model_id = static_cast<std::uint32_t>(model.id());
-    header.detector_id = static_cast<std::uint32_t>(detector.id());
+    header.fault_model_id =
+        static_cast<std::uint32_t>(config_.trial.faultModel().id());
+    header.detector_id =
+        static_cast<std::uint32_t>(config_.trial.detectorModel().id());
     return header;
 }
 
@@ -313,20 +256,17 @@ CampaignRunner::run()
     meter_options.initial = summary.result;
     ProgressMeter meter(meter_options);
 
-    std::vector<std::uint8_t> outcomes;
-    std::vector<std::uint32_t> auxs;
-    executeTrialList(injector_, config_, missing, outcomes,
-                     [&](std::uint64_t trial,
-                         fault::FaultOutcome outcome,
-                         std::uint32_t aux) {
-                         if (writer)
-                             writer->add(trial, static_cast<
-                                                    std::uint32_t>(
-                                                    outcome),
-                                         aux);
-                         meter.note(outcome);
-                     },
-                     &auxs);
+    const fault::TrialResults executed =
+        fault::TrialExecutor(injector_, config_.jobs)
+            .run(config_, missing,
+                 [&](std::uint64_t trial, fault::FaultOutcome outcome,
+                     std::uint32_t aux) {
+                     if (writer)
+                         writer->add(trial,
+                                     static_cast<std::uint32_t>(outcome),
+                                     aux);
+                     meter.note(outcome);
+                 });
 
     if (writer && !writer->finish())
         fatalf("trial store '", path,
@@ -335,11 +275,7 @@ CampaignRunner::run()
                "missing.");
     meter.finish();
 
-    for (const std::uint8_t outcome : outcomes)
-        ++summary.result.counts[outcome];
-    for (const std::uint32_t aux : auxs)
-        summary.result.replay_cost += aux;
-    summary.result.trials += missing.size();
+    executed.addTo(summary.result);
     summary.executed = missing.size();
     summary.complete = summary.result.trials == summary.shard_trials;
     return summary;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Resumable, sharded campaign runner — orchestration over
- * FaultInjector and the durable trial store.
+ * Resumable, sharded campaign runner — orchestration over the
+ * fault::TrialExecutor and the durable trial store.
  *
  * Because every trial is a pure function of (module, golden run,
  * campaign seed, trial index) — the counter-based seeding contract of
@@ -9,8 +9,9 @@
  * [0, trials). The runner exploits that three ways:
  *
  *  - **Resume.** On startup it reads the store's valid prefix,
- *    recomputes which indices are missing, and re-shards only those
- *    across the thread pool. A campaign killed at trial 99,999 of
+ *    recomputes which indices are missing, and executes only those
+ *    on a TrialExecutor, whose sink appends each outcome to the store
+ *    and the progress meter. A campaign killed at trial 99,999 of
  *    100,000 re-executes one trial; the aggregate is bit-identical to
  *    an uninterrupted run because per-outcome counts are
  *    order-independent sums of per-trial outcomes that never change.
@@ -36,7 +37,6 @@
 #define ENCORE_CAMPAIGN_RUNNER_H
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -114,27 +114,6 @@ struct RunSummary
     /// Torn/corrupt bytes the store reader dropped (0 normally).
     std::uint64_t recovered_dropped_bytes = 0;
 };
-
-/// The shared campaign execution core: executes an explicit list of
-/// trial indices across `config.jobs` pooled per-worker interpreters
-/// through FaultInjector::runCampaignTrial. Outcomes land at the
-/// matching position of `outcomes` (resized by the call), so the
-/// result is bit-identical at any job count or schedule. `sink`, when
-/// non-null, is invoked from worker threads after each trial (store
-/// writes, progress accounting) and must be thread-safe. Both
-/// CampaignRunner::run() and the campaign planner execute through
-/// this single entry point.
-/// The sink's third argument is the trial's auxiliary cost counter
-/// (replay cost); `aux_out`, when non-null, is resized alongside
-/// `outcomes` and receives it positionally.
-void executeTrialList(
-    const fault::FaultInjector &injector,
-    const fault::CampaignConfig &config,
-    const std::vector<std::uint64_t> &trials,
-    std::vector<std::uint8_t> &outcomes,
-    const std::function<void(std::uint64_t, fault::FaultOutcome,
-                             std::uint32_t)> &sink = {},
-    std::vector<std::uint32_t> *aux_out = nullptr);
 
 /// Fingerprint of everything that determines trial outcomes: module
 /// hash, entry, args, seed, trials, Dmax, run budget factor, masking

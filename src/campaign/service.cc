@@ -12,8 +12,8 @@
 #include <thread>
 
 #include "campaign/progress.h"
+#include "fault/trial_executor.h"
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 #include "support/ticker.h"
 
 namespace encore::campaign {
@@ -620,14 +620,15 @@ runWorkerLoop(Socket &socket, FrameReader &reader,
     // seconds — see the Hello handler).
     sendLocked(FrameType::Heartbeat, encodeHeartbeat({0, 0}));
 
-    const std::size_t jobs = resolveJobs(options.jobs);
-    std::unique_ptr<ThreadPool> pool;
-    std::vector<std::unique_ptr<interp::Interpreter>> workers;
-    if (jobs > 1) {
-        pool = std::make_unique<ThreadPool>(jobs);
-        workers.resize(pool->slotCount());
-    }
-    interp::Interpreter serial(injector.decodedModule());
+    // One executor for the whole loop: its pool and interpreters are
+    // reused across leases.
+    fault::TrialExecutor executor(injector, options.jobs);
+    const fault::TrialExecutor::Sink sink =
+        [&](std::uint64_t, fault::FaultOutcome, std::uint32_t) {
+            completed.fetch_add(1, std::memory_order_relaxed);
+            if (options.throttle.count() > 0)
+                std::this_thread::sleep_for(options.throttle);
+        };
 
     for (;;) {
         const auto frame =
@@ -649,31 +650,10 @@ runWorkerLoop(Socket &socket, FrameReader &reader,
         current_lease.store(grant->lease_id,
                             std::memory_order_relaxed);
         completed.store(0, std::memory_order_relaxed);
-        std::vector<std::uint8_t> outcomes(grant->count);
-        std::vector<std::uint32_t> auxs(grant->count, 0);
-        auto run_one = [&](std::uint64_t i,
-                           interp::Interpreter &interp) {
-            const fault::FaultOutcome outcome =
-                injector.runCampaignTrial(grant->first_trial + i,
-                                          config, interp, auxs[i]);
-            outcomes[i] = static_cast<std::uint8_t>(outcome);
-            completed.fetch_add(1, std::memory_order_relaxed);
-            if (options.throttle.count() > 0)
-                std::this_thread::sleep_for(options.throttle);
-        };
-        if (pool && grant->count > 1) {
-            pool->parallelFor(
-                grant->count, [&](std::uint64_t i, std::size_t slot) {
-                    if (!workers[slot])
-                        workers[slot] =
-                            std::make_unique<interp::Interpreter>(
-                                injector.decodedModule());
-                    run_one(i, *workers[slot]);
-                });
-        } else {
-            for (std::uint64_t i = 0; i < grant->count; ++i)
-                run_one(i, serial);
-        }
+        const fault::TrialResults results = executor.run(
+            config,
+            fault::TrialIndices::range(grant->first_trial, grant->count),
+            sink);
 
         bool sent = true;
         for (std::uint64_t offset = 0;
@@ -687,7 +667,9 @@ runWorkerLoop(Socket &socket, FrameReader &reader,
             batch.records.reserve(end - offset);
             for (std::uint64_t i = offset; i < end; ++i)
                 batch.records.push_back(
-                    {grant->first_trial + i, outcomes[i], auxs[i]});
+                    {grant->first_trial + i,
+                     static_cast<std::uint32_t>(results.outcomes[i]),
+                     results.aux[i]});
             sent = sendLocked(FrameType::ResultBatch,
                               encodeResultBatch(batch));
         }

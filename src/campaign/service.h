@@ -6,9 +6,9 @@
  * The coordinator owns the campaign's index set [0, trials), carves
  * the not-yet-done indices into contiguous chunks, and hands chunks
  * out as *leases* over the campaign/protocol wire format. Workers
- * execute leased trials through the same
- * FaultInjector::runCampaignTrial entry point every other execution
- * mode uses, and stream CRC'd records back; the coordinator ingests
+ * execute leased trials on the same fault::TrialExecutor every other
+ * execution mode uses (one per worker loop, reused across leases),
+ * and stream CRC'd records back; the coordinator ingests
  * them — deduplicating by trial index — into the standard append-only
  * trial store.
  *

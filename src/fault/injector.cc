@@ -3,10 +3,10 @@
 #include <memory>
 #include <set>
 
+#include "fault/trial_executor.h"
 #include "ir/printer.h"
 #include "support/checksum.h"
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 
 namespace encore::fault {
 
@@ -608,37 +608,6 @@ FaultInjector::prepare(const std::string &entry,
 }
 
 FaultOutcome
-FaultInjector::runTrial(Rng &rng, const TrialConfig &config) const
-{
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!scratch_)
-        scratch_ = std::make_unique<interp::Interpreter>(decoded_);
-    return runTrial(rng, config, *scratch_);
-}
-
-FaultOutcome
-FaultInjector::runTrial(Rng &rng, const TrialConfig &config,
-                        interp::Interpreter &interp) const
-{
-    ENCORE_ASSERT(prepared_, "runTrial before a successful prepare()");
-    ENCORE_ASSERT(golden_.value_instrs > 0,
-                  "golden run executed no value-producing instructions");
-
-    // Model first, detector second — for the default pair this is the
-    // historical draw order (target, bit, latency), preserving
-    // byte-identity with pre-registry campaigns.
-    const models::FaultModel &model =
-        config.model ? *config.model : *models::defaultFaultModel();
-    const models::Detector &detector =
-        config.detector ? *config.detector : *models::defaultDetector();
-    const models::InjectionPlan plan =
-        model.draw(rng, golden_.value_instrs);
-    const models::DetectionPlan detection =
-        detector.draw(rng, config.dmax);
-    return runTrialPlanned(plan, detection, config, interp);
-}
-
-FaultOutcome
 FaultInjector::runTrialAt(std::uint64_t target_value_index, int bit,
                           std::uint64_t latency,
                           const TrialConfig &config,
@@ -748,13 +717,26 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
     return classifyTrialOutcome(obs);
 }
 
-FaultOutcome
-FaultInjector::runCampaignTrial(std::uint64_t trial,
-                                const CampaignConfig &config,
-                                interp::Interpreter &interp) const
+TrialDraw
+drawCampaignTrial(std::uint64_t trial, const CampaignConfig &config,
+                  std::uint64_t golden_value_instrs)
 {
-    std::uint32_t aux = 0;
-    return runCampaignTrial(trial, config, interp, aux);
+    // Trial t draws everything from its own counter-derived stream, so
+    // it is independent of every other trial and of the thread (or
+    // process) that happens to run it. For the default pair the model
+    // and detector draws are the historical (target, bit, latency)
+    // order, preserving byte-identity with pre-registry campaigns.
+    TrialDraw draw;
+    Rng rng = Rng::forStream(config.seed, trial);
+    if (config.model_masking &&
+        MaskingModel(config.masking_rate).isMasked(rng)) {
+        draw.masked = true;
+        return draw;
+    }
+    draw.plan = config.trial.faultModel().draw(rng, golden_value_instrs);
+    draw.detection =
+        config.trial.detectorModel().draw(rng, config.trial.dmax);
+    return draw;
 }
 
 FaultOutcome
@@ -763,82 +745,23 @@ FaultInjector::runCampaignTrial(std::uint64_t trial,
                                 interp::Interpreter &interp,
                                 std::uint32_t &aux) const
 {
-    // Trial t draws everything — the masking coin first, then the
-    // fault parameters — from its own counter-derived stream, so the
-    // outcome of trial t is independent of every other trial and of
-    // the thread (or process) that happens to run it. The masking coin
-    // comes before the model draws, so a trial index is masked or not
-    // independently of which model the campaign runs — trial indices
-    // stay aligned across models.
     aux = 0;
-    Rng rng = Rng::forStream(config.seed, trial);
-    if (config.model_masking &&
-        MaskingModel(config.masking_rate).isMasked(rng))
+    const TrialDraw draw =
+        drawCampaignTrial(trial, config, golden_.value_instrs);
+    if (draw.masked)
         return FaultOutcome::Masked;
-
-    const models::FaultModel &model =
-        config.trial.model ? *config.trial.model
-                           : *models::defaultFaultModel();
-    const models::Detector &detector =
-        config.trial.detector ? *config.trial.detector
-                              : *models::defaultDetector();
-    const models::InjectionPlan plan =
-        model.draw(rng, golden_.value_instrs);
-    const models::DetectionPlan detection =
-        detector.draw(rng, config.trial.dmax);
-    return runTrialPlanned(plan, detection, config.trial, interp, &aux);
+    return runTrialPlanned(draw.plan, draw.detection, config.trial, interp,
+                           &aux);
 }
 
 CampaignResult
 FaultInjector::runCampaign(const CampaignConfig &config) const
 {
     validateCampaignConfig(config);
-
-    auto run_one = [&](std::uint64_t t, CampaignResult &acc,
-                       interp::Interpreter &interp) {
-        std::uint32_t aux = 0;
-        const FaultOutcome outcome =
-            runCampaignTrial(t, config, interp, aux);
-        ++acc.counts[static_cast<int>(outcome)];
-        ++acc.trials;
-        acc.replay_cost += aux;
-    };
-
-    const std::size_t jobs = resolveJobs(config.jobs);
-    if (jobs <= 1) {
-        CampaignResult result;
-        interp::Interpreter interp(decoded_);
-        for (std::uint64_t t = 0; t < config.trials; ++t)
-            run_one(t, result, interp);
-        return result;
-    }
-
-    ThreadPool pool(jobs);
-    // One accumulator and one pooled interpreter per worker slot,
-    // merged below: no shared writes on the trial path, and each
-    // worker's frames / undo logs / memory image are recycled across
-    // its trials (constructed lazily so idle slots cost nothing).
-    std::vector<CampaignResult> shards(pool.slotCount());
-    std::vector<std::unique_ptr<interp::Interpreter>> workers(
-        pool.slotCount());
-    pool.parallelFor(config.trials,
-                     [&](std::uint64_t t, std::size_t slot) {
-                         if (!workers[slot]) {
-                             workers[slot] =
-                                 std::make_unique<interp::Interpreter>(
-                                     decoded_);
-                         }
-                         run_one(t, shards[slot], *workers[slot]);
-                     });
-
     CampaignResult result;
-    for (const CampaignResult &shard : shards) {
-        for (int i = 0; i < static_cast<int>(FaultOutcome::NumOutcomes);
-             ++i)
-            result.counts[i] += shard.counts[i];
-        result.trials += shard.trials;
-        result.replay_cost += shard.replay_cost;
-    }
+    TrialExecutor(*this, config.jobs)
+        .run(config, TrialIndices::range(0, config.trials))
+        .addTo(result);
     return result;
 }
 

@@ -21,16 +21,18 @@
  * detection landing in a different region instance than the fault is
  * Not Recoverable, matching the paper's criterion (s + l < n).
  *
- * Trials are mutually independent — each is a pure function of
- * (module, golden run, trial seed) — so campaigns shard them across a
- * work-stealing thread pool (CampaignConfig::jobs). Counter-based
- * per-trial seeding keeps campaign results bit-identical at any
- * thread count.
+ * Trials are mutually independent: trial t is drawn once, by
+ * drawCampaignTrial from the counter-based stream
+ * Rng::forStream(seed, t), and executed by runTrialPlanned, so each is
+ * a pure function of (module, golden run, seed, t). Every campaign
+ * loop runs them on a fault::TrialExecutor (fault/trial_executor.h),
+ * which shards them across a work-stealing thread pool with results
+ * bit-identical at any thread count.
  *
  * Execution cost per trial is kept allocation-free in steady state:
  * the injector pre-decodes the instrumented module once (one immutable
- * DecodedModule shared read-only by every worker), each campaign
- * worker reuses a single Interpreter whose frames / undo logs / memory
+ * DecodedModule shared read-only by every worker), each executor slot
+ * reuses a single Interpreter whose frames / undo logs / memory
  * storage are pooled across trials, and golden-output checking
  * compares global memory in place instead of snapshotting it.
  */
@@ -38,7 +40,6 @@
 #define ENCORE_FAULT_INJECTOR_H
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "encore/pipeline.h"
@@ -75,18 +76,31 @@ struct TrialConfig
     double run_budget_factor = 4.0;
     /// Fault model and detector; nullptr selects the registry defaults
     /// (reg-bit under the analytical Dmax detector — the pre-registry
-    /// behaviour, byte-identical to it).
+    /// behaviour, byte-identical to it). Read them through
+    /// faultModel() / detectorModel(), which apply that rule.
     const models::FaultModel *model = nullptr;
     const models::Detector *detector = nullptr;
+
+    const models::FaultModel &
+    faultModel() const
+    {
+        return model ? *model : *models::defaultFaultModel();
+    }
+
+    const models::Detector &
+    detectorModel() const
+    {
+        return detector ? *detector : *models::defaultDetector();
+    }
 };
 
 struct CampaignConfig
 {
     std::uint64_t trials = 1000;
     std::uint64_t seed = 12345;
-    /// Worker threads for the campaign: 1 = sequential, 0 = all
-    /// hardware threads. Trials use counter-based per-trial seeding
-    /// (Rng::forStream(seed, trial)), so the aggregated result is
+    /// Worker threads of the campaign's TrialExecutor: 1 = sequential,
+    /// 0 = all hardware threads. Trials use counter-based per-trial
+    /// seeding (drawCampaignTrial), so the aggregated result is
     /// bit-identical for every value of `jobs`.
     std::size_t jobs = 1;
     TrialConfig trial;
@@ -103,6 +117,30 @@ struct CampaignConfig
 /// message naming the offending field, instead of silently producing
 /// nonsense tables (e.g. a 0-trial campaign whose every fraction is 0).
 void validateCampaignConfig(const CampaignConfig &config);
+
+/**
+ * The fault parameters of one campaign trial, drawn from the
+ * counter-based stream Rng::forStream(config.seed, trial): the masking
+ * coin (when modelled) first, then the fault model's injection plan,
+ * then the detector's detection plan. The coin comes before the model
+ * draws, so a trial index is masked or not independently of which
+ * model the campaign runs. For a masked draw only `masked` is
+ * meaningful.
+ */
+struct TrialDraw
+{
+    bool masked = false;
+    models::InjectionPlan plan;
+    models::DetectionPlan detection;
+};
+
+/// The one trial draw: FaultInjector::runCampaignTrial executes it,
+/// and the campaign planner enumerates a whole campaign's fault plan
+/// with it without executing anything. `golden_value_instrs` is the
+/// fault-site universe size (FaultInjector::golden().value_instrs).
+TrialDraw drawCampaignTrial(std::uint64_t trial,
+                            const CampaignConfig &config,
+                            std::uint64_t golden_value_instrs);
 
 struct CampaignResult
 {
@@ -141,7 +179,7 @@ struct CampaignResult
 
 /**
  * Everything a finished trial execution exposes to outcome
- * classification. Factoring the mapping out of runTrial keeps every
+ * classification. Factoring the mapping out of trial execution keeps every
  * outcome leg unit-testable — including the ones that are unreachable
  * end-to-end under full determinism (e.g. the SilentCorruption leg of
  * the not-injected path, which requires a run that diverges from the
@@ -161,8 +199,9 @@ struct TrialObservation
     RegionClass region_class = RegionClass::NonIdempotent;
 };
 
-/// The trial outcome table (see runTrial for the execution that fills
-/// a TrialObservation in). Pure; exercised directly by tests.
+/// The trial outcome table (see FaultInjector::runTrialPlanned for the
+/// execution that fills a TrialObservation in). Pure; exercised
+/// directly by tests.
 FaultOutcome classifyTrialOutcome(const TrialObservation &obs);
 
 /**
@@ -218,25 +257,8 @@ class FaultInjector
     bool prepare(const std::string &entry,
                  const std::vector<std::uint64_t> &args);
 
-    /// Runs one trial on a lazily created injector-owned scratch
-    /// interpreter (so single-trial callers — tests, table1 — stop
-    /// paying decode-frame allocation per trial). Thread-safe after
-    /// prepare(), but calls through this overload serialize on the
-    /// scratch interpreter's mutex; campaign workers use the pooled
-    /// overload below instead.
-    FaultOutcome runTrial(Rng &rng, const TrialConfig &config) const;
-
-    /// Runs one trial on a caller-owned interpreter (which must have
-    /// been constructed over decodedModule()). Campaign workers call
-    /// this with one pooled interpreter per worker so steady-state
-    /// trials allocate nothing; the trial installs its own hooks and
-    /// clears them again before returning.
-    FaultOutcome runTrial(Rng &rng, const TrialConfig &config,
-                          interp::Interpreter &interp) const;
-
-    /// Deterministic single-trial execution with explicit fault
-    /// parameters (the Rng overloads draw target/bit/latency and call
-    /// this). `target_value_index` is the value-producing dynamic
+    /// Deterministic single-trial execution with explicit reg-bit
+    /// fault parameters. `target_value_index` is the value-producing dynamic
     /// instruction whose destination gets `bit` flipped; detection
     /// fires `latency` dynamic instructions later (or at the first
     /// symptom). Useful for replaying one specific trial and for
@@ -249,7 +271,7 @@ class FaultInjector
                             interp::Interpreter &interp) const;
 
     /// Deterministic single-trial execution from fully drawn plans —
-    /// the common core every overload above funnels into. When `aux`
+    /// the common core every trial funnels into. When `aux`
     /// is non-null it receives the trial's auxiliary cost counter
     /// (replayed dynamic instructions under the replay detector,
     /// saturated to 32 bits; 0 otherwise).
@@ -259,32 +281,25 @@ class FaultInjector
                                  interp::Interpreter &interp,
                                  std::uint32_t *aux = nullptr) const;
 
-    /// Runs campaign trial `trial` — the masking coin plus (when not
-    /// masked) one injected execution — on a caller-owned pooled
-    /// interpreter. The outcome is a pure function of (module, golden
-    /// run, config.seed, trial): all randomness comes from the
-    /// counter-derived stream Rng::forStream(config.seed, trial). Both
-    /// runCampaign and the durable campaign runner (src/campaign/)
-    /// execute trials through this single entry point, which is what
-    /// makes a resumed or sharded campaign bit-identical to an
-    /// uninterrupted single-process one.
-    FaultOutcome runCampaignTrial(std::uint64_t trial,
-                                  const CampaignConfig &config,
-                                  interp::Interpreter &interp) const;
-
-    /// Same, with the per-trial auxiliary cost counter out-param (the
-    /// durable trial store persists it next to the outcome so resumed
-    /// and merged campaigns reproduce replay-cost aggregates exactly).
+    /// Runs campaign trial `trial` on a caller-owned pooled
+    /// interpreter: drawCampaignTrial, then (when not masked)
+    /// runTrialPlanned. The outcome is a pure function of (module,
+    /// golden run, config.seed, trial), which is what makes a resumed,
+    /// sharded or served campaign bit-identical to an uninterrupted
+    /// single-process one. `aux` receives the trial's auxiliary cost
+    /// counter (the durable trial store persists it next to the
+    /// outcome so resumed and merged campaigns reproduce replay-cost
+    /// aggregates exactly).
     FaultOutcome runCampaignTrial(std::uint64_t trial,
                                   const CampaignConfig &config,
                                   interp::Interpreter &interp,
                                   std::uint32_t &aux) const;
 
-    /// Runs a whole campaign (including modelled masking), sharding
-    /// trials across `config.jobs` threads with per-worker outcome
-    /// accumulators. Per-trial seeding makes the result bit-identical
-    /// regardless of thread count or schedule. Fatal on an invalid
-    /// config (see validateCampaignConfig).
+    /// Runs a whole campaign (including modelled masking) on a
+    /// TrialExecutor of `config.jobs` threads. Per-trial seeding makes
+    /// the result bit-identical regardless of thread count or
+    /// schedule. Fatal on an invalid config (see
+    /// validateCampaignConfig).
     CampaignResult runCampaign(const CampaignConfig &config) const;
 
     const interp::RunResult &golden() const { return golden_; }
@@ -336,11 +351,6 @@ class FaultInjector
     /// for a region-instance profile (interp/replay_profile.h).
     std::unique_ptr<interp::ReplayProfiles> replay_profiles_;
     bool use_replay_profiles_ = true;
-
-    /// Scratch interpreter for the convenience runTrial overload;
-    /// lazily created, guarded by its mutex.
-    mutable std::mutex scratch_mutex_;
-    mutable std::unique_ptr<interp::Interpreter> scratch_;
 };
 
 } // namespace encore::fault

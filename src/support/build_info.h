@@ -20,7 +20,9 @@ namespace encore {
 
 struct BuildInfo
 {
-    std::string git_hash;   ///< Short revision, or "unknown".
+    /// Short revision, "-dirty" when tracked files differed from it
+    /// at build time, or "unknown".
+    std::string git_hash;
     std::string compiler;   ///< Compiler id + version.
     std::string build_type; ///< CMAKE_BUILD_TYPE.
     bool computed_goto;     ///< ENCORE_COMPUTED_GOTO dispatcher on?

@@ -156,14 +156,17 @@ TEST(Injector, ZeroLatencyRecoversProtectedFaults)
     // is rejected at *campaign* entry (validateCampaignConfig), so the
     // latency extreme is exercised through the single-trial interface.
     Harness setup = prepare();
-    TrialConfig trial;
-    trial.dmax = 0;
+    CampaignConfig config;
+    config.seed = 12345;
+    config.model_masking = false;
+    config.trial.dmax = 0;
+    interp::Interpreter interp(setup.injector->decodedModule());
     CampaignResult result;
     result.trials = 120;
     for (std::uint64_t t = 0; t < result.trials; ++t) {
-        Rng rng = Rng::forStream(12345, t);
+        std::uint32_t aux = 0;
         const FaultOutcome outcome =
-            setup.injector->runTrial(rng, trial);
+            setup.injector->runCampaignTrial(t, config, interp, aux);
         ++result.counts[static_cast<int>(outcome)];
     }
     EXPECT_EQ(result.count(FaultOutcome::RecoveryFailed), 0u);
@@ -341,6 +344,7 @@ TEST(Injector, MaskedTrialIndicesAlignAcrossModels)
     // scenario sweeps.
     Harness setup = prepare();
     interp::Interpreter interp(setup.injector->decodedModule());
+    std::uint32_t aux = 0;
     CampaignConfig config;
     config.trials = 150;
     config.seed = 5150;
@@ -353,7 +357,8 @@ TEST(Injector, MaskedTrialIndicesAlignAcrossModels)
         std::vector<bool> masked;
         for (std::uint64_t t = 0; t < config.trials; ++t)
             masked.push_back(
-                setup.injector->runCampaignTrial(t, config, interp) ==
+                setup.injector->runCampaignTrial(t, config, interp,
+                                                 aux) ==
                 FaultOutcome::Masked);
         if (reference.empty()) {
             reference = masked;
@@ -377,13 +382,17 @@ TEST(Injector, TrialOutcomeIsPureFunctionOfTrialSeed)
     // Re-running a single trial stream reproduces the same outcome —
     // the property the parallel shard merge relies on.
     Harness setup = prepareProgram(kProgram2, 40);
-    TrialConfig trial;
-    trial.dmax = 50;
+    CampaignConfig config;
+    config.seed = 77;
+    config.model_masking = false;
+    config.trial.dmax = 50;
+    interp::Interpreter interp(setup.injector->decodedModule());
     for (std::uint64_t t = 0; t < 25; ++t) {
-        Rng a = Rng::forStream(77, t);
-        Rng b = Rng::forStream(77, t);
-        EXPECT_EQ(setup.injector->runTrial(a, trial),
-                  setup.injector->runTrial(b, trial));
+        std::uint32_t aux_a = 0;
+        std::uint32_t aux_b = 0;
+        EXPECT_EQ(setup.injector->runCampaignTrial(t, config, interp, aux_a),
+                  setup.injector->runCampaignTrial(t, config, interp, aux_b));
+        EXPECT_EQ(aux_a, aux_b);
     }
 }
 
@@ -492,8 +501,7 @@ TEST(Injector, TargetBeyondTerminationIsBenignEndToEnd)
     // End-to-end companion to the classifier test: aim the fault at
     // value instruction == golden value count (one past the last one
     // ever produced). The run terminates without injecting, output
-    // matches golden, outcome is Benign — on both the scratch-
-    // interpreter seam and a caller-owned interpreter.
+    // matches golden, outcome is Benign.
     Harness setup = prepare(30);
     const std::uint64_t past_end = setup.injector->golden().value_instrs;
     TrialConfig trial;
@@ -502,21 +510,27 @@ TEST(Injector, TargetBeyondTerminationIsBenignEndToEnd)
               FaultOutcome::Benign);
 }
 
-TEST(Injector, ScratchTrialMatchesPooledInterpreterTrial)
+TEST(Injector, FreshInterpreterTrialMatchesReusedInterpreterTrial)
 {
-    // The 2-arg runTrial (lazy injector-owned scratch interpreter)
-    // must produce the same outcome stream as the caller-owned-
-    // interpreter overload: same trial seeds, same outcomes.
+    // A trial on a fresh interpreter must equal the same trial on one
+    // interpreter reused across every trial before it (the executor's
+    // per-slot pooling): same trial seeds, same outcomes and aux.
     Harness setup = prepareProgram(kProgram2, 45);
-    TrialConfig trial;
-    trial.dmax = 80;
-    interp::Interpreter pooled(setup.injector->decodedModule());
+    CampaignConfig config;
+    config.seed = 909;
+    config.model_masking = false;
+    config.trial.dmax = 80;
+    interp::Interpreter reused(setup.injector->decodedModule());
     for (std::uint64_t t = 0; t < 40; ++t) {
-        Rng a = Rng::forStream(909, t);
-        Rng b = Rng::forStream(909, t);
-        EXPECT_EQ(setup.injector->runTrial(a, trial),
-                  setup.injector->runTrial(b, trial, pooled))
+        interp::Interpreter fresh(setup.injector->decodedModule());
+        std::uint32_t aux_fresh = 0;
+        std::uint32_t aux_reused = 0;
+        EXPECT_EQ(
+            setup.injector->runCampaignTrial(t, config, fresh, aux_fresh),
+            setup.injector->runCampaignTrial(t, config, reused,
+                                             aux_reused))
             << "trial " << t;
+        EXPECT_EQ(aux_fresh, aux_reused) << "trial " << t;
     }
 }
 

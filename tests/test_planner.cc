@@ -167,8 +167,8 @@ TEST(PlannerDraws, MaskedCountMatchesBruteForce)
 
     std::uint64_t masked = 0;
     for (std::uint64_t trial = 0; trial < config.trials; ++trial) {
-        if (drawCampaignTrial(trial, config,
-                              setup.injector->golden().value_instrs)
+        if (fault::drawCampaignTrial(trial, config,
+                                     setup.injector->golden().value_instrs)
                 .masked)
             ++masked;
     }
@@ -334,8 +334,8 @@ TEST(Planner, ReusedBaseAndExecutionSetPartitionTheUniverse)
     // No masked trial is ever in the execution set.
     for (const std::uint64_t trial : to_run) {
         EXPECT_FALSE(
-            drawCampaignTrial(trial, config,
-                              b.injector->golden().value_instrs)
+            fault::drawCampaignTrial(trial, config,
+                                     b.injector->golden().value_instrs)
                 .masked);
     }
 }

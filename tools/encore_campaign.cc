@@ -91,21 +91,6 @@ campaignFromFlags(const CommandLine &cli, bool has_jobs)
     return config;
 }
 
-const fault::models::FaultModel &
-configModel(const fault::CampaignConfig &config)
-{
-    return config.trial.model ? *config.trial.model
-                              : *fault::models::defaultFaultModel();
-}
-
-const fault::models::Detector &
-configDetector(const fault::CampaignConfig &config)
-{
-    return config.trial.detector
-               ? *config.trial.detector
-               : *fault::models::defaultDetector();
-}
-
 /// "scenario <model> + <detector>" line for the human-readable
 /// output, printed only when either differs from the default so the
 /// classic reg-bit/analytic output stays byte-identical to older
@@ -113,8 +98,8 @@ configDetector(const fault::CampaignConfig &config)
 std::string
 scenarioLine(const fault::CampaignConfig &config)
 {
-    const fault::models::FaultModel &model = configModel(config);
-    const fault::models::Detector &detector = configDetector(config);
+    const fault::models::FaultModel &model = config.trial.faultModel();
+    const fault::models::Detector &detector = config.trial.detectorModel();
     if (&model == fault::models::defaultFaultModel() &&
         &detector == fault::models::defaultDetector())
         return "";
@@ -244,9 +229,9 @@ writeCampaignJson(std::ostream &out, const std::string &mode,
         << "  \"masking_rate\": " << config.masking_rate << ",\n"
         << "  \"model_masking\": "
         << (config.model_masking ? "true" : "false") << ",\n"
-        << "  \"fault_model\": \"" << configModel(config).name()
+        << "  \"fault_model\": \"" << config.trial.faultModel().name()
         << "\",\n"
-        << "  \"detector\": \"" << configDetector(config).name()
+        << "  \"detector\": \"" << config.trial.detectorModel().name()
         << "\",\n"
         << "  \"replay_cost\": " << result.replay_cost << ",\n"
         << "  \"counts\": {";
@@ -278,9 +263,9 @@ writePlannerJson(std::ostream &out, const std::string &mode,
         << "  \"seed\": " << config.seed << ",\n"
         << "  \"trials\": " << config.trials << ",\n"
         << "  \"dmax\": " << config.trial.dmax << ",\n"
-        << "  \"fault_model\": \"" << configModel(config).name()
+        << "  \"fault_model\": \"" << config.trial.faultModel().name()
         << "\",\n"
-        << "  \"detector\": \"" << configDetector(config).name()
+        << "  \"detector\": \"" << config.trial.detectorModel().name()
         << "\",\n"
         << "  \"replay_cost\": " << summary.result.replay_cost
         << ",\n"
@@ -754,9 +739,9 @@ cmdServe(int argc, char **argv)
     spec.masking_rate = config.masking_rate;
     spec.model_masking = config.model_masking;
     spec.fault_model =
-        static_cast<std::uint32_t>(configModel(config).id());
+        static_cast<std::uint32_t>(config.trial.faultModel().id());
     spec.detector =
-        static_cast<std::uint32_t>(configDetector(config).id());
+        static_cast<std::uint32_t>(config.trial.detectorModel().id());
     spec.config_fingerprint =
         campaign::campaignFingerprint(*pi.injector, config);
     spec.module_hash = pi.injector->moduleHash();
